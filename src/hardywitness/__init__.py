@@ -46,7 +46,6 @@ from .lhv import (
     HardyConditionSet,
     LhvCertificate,
     certify,
-    certify_multipartite,
     conditions_from_report,
     enumerate_strategies,
     idealized_table,

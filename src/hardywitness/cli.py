@@ -40,7 +40,6 @@ from .lhv import (
     HardyConditionSet,
     LhvCertificate,
     certify,
-    certify_multipartite,
     idealized_table,
 )
 from .multipartite import MultipartiteWitness, multipartite_table, multipartite_witness
@@ -474,7 +473,7 @@ def cmd_certify(args) -> int:
                 print(f"reason: {w.reason}")
             return EXIT_OK
         table = multipartite_table(v, w)
-        cert = certify_multipartite(table)
+        cert = certify(table)
     else:
         if args.split is None:
             raise ValueError("--split is required in bipartite mode")

@@ -12,6 +12,7 @@ and the quantum table violates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,33 +97,33 @@ class LhvCertificate:
     max_strategy_dot: float | None = None
 
 
-def _strategy_column(
-    strategy: DeterministicStrategy,
-    table: JointProbabilityTable,
-    keys,
-) -> np.ndarray:
-    column = np.zeros(len(keys) + 1)
-    setting_idx = [
-        {label: k for k, label in enumerate(labels)}
-        for labels in table.party_settings
-    ]
-    for row, (choice, outcomes) in enumerate(keys):
-        hit = all(
-            strategy.outcome(party, setting_idx[party][choice[party]]) == outcomes[party]
-            for party in range(table.n_parties)
-        )
-        if hit:
-            column[row] = 1.0
-    column[-1] = 1.0  # normalization row
-    return column
-
-
 def _constraint_system(table: JointProbabilityTable):
+    """LP rows ``ordered_keys()`` plus normalization, one column per strategy.
+
+    A strategy hits ``(choice, outcomes)`` when every party answers its own
+    setting with its own outcome, so the matrix is the product over parties
+    of one-hot (setting, outcome, local strategy) indicators.  Strategies
+    come in ``itertools.product`` order over the parties' local answer
+    tables, so party p's k-th table is held by strategy k * stride, where
+    stride counts the strategies of the parties after p.
+    """
     keys = tuple(table.ordered_keys())
     strategies = strategies_for_table(table)
-    a = np.zeros((len(keys) + 1, len(strategies)))
-    for col, strategy in enumerate(strategies):
-        a[:, col] = _strategy_column(strategy, table, keys)
+    n = table.n_parties
+    counts = [
+        len(outs) ** len(labels)
+        for labels, outs in zip(table.party_settings, table.party_outcomes)
+    ]
+    hits = np.ones((1,) * (3 * n))
+    for party, outs in enumerate(table.party_outcomes):
+        stride = math.prod(counts[party + 1 :])
+        local = strategies[: counts[party] * stride : stride]
+        answers = np.array([strategy.assignments[party] for strategy in local])
+        onehot = answers.T[:, None, :] == np.array(outs)[None, :, None]
+        shape = [1] * (3 * n)
+        shape[party], shape[n + party], shape[2 * n + party] = onehot.shape
+        hits = hits * onehot.reshape(shape)
+    a = np.vstack([hits.reshape(len(keys), len(strategies)), np.ones(len(strategies))])
     b = np.array([table.entries[key] for key in keys] + [1.0])
     return keys, strategies, a, b
 
@@ -161,15 +162,6 @@ def certify(table: JointProbabilityTable, *, feas_tol: float = DEFAULT_FEAS_TOL)
     return LhvCertificate(
         False, strategies, keys, dual=y, margin=margin, max_strategy_dot=max_dot
     )
-
-
-def certify_multipartite(
-    table: JointProbabilityTable, *, feas_tol: float = DEFAULT_FEAS_TOL
-) -> LhvCertificate:
-    """Same LP with one strategy factor per party, for three or more parties."""
-    if table.n_parties < 3:
-        raise ValueError("multipartite certification expects at least three parties")
-    return certify(table, feas_tol=feas_tol)
 
 
 @dataclass(frozen=True)

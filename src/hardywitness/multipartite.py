@@ -13,7 +13,7 @@ value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,15 +108,31 @@ def select_branch(
     peeling, admits an applicable two-party test.  Returns ``None`` when no
     branch qualifies.
     """
+    labels = tuple(range(len(branches[0].residual.dims))) if branches else ()
+    best = _best_branch(branches, labels, None, eps_deg)
+    return None if best is None else best[0]
+
+
+def _best_branch(
+    branches: tuple[PeelBranch, ...],
+    labels: tuple[int, ...],
+    order: tuple[int, ...] | None,
+    eps_deg: float,
+):
+    """(index, branch, recursion result) of the best usable branch, or None.
+
+    Scores are weight^2 x downstream combined probability; the strict ``>``
+    keeps the first of equal scores.
+    """
     best = None
     best_score = -1.0
     for k, br in enumerate(branches):
-        sub = _recurse(br.residual, tuple(range(len(br.residual.dims))), None, eps_deg)
+        sub = _recurse(br.residual, labels, order, eps_deg)
         if sub is None:
             continue
         score = br.weight * br.weight * sub[3]
         if score > best_score:
-            best = k
+            best = (k, br, sub)
             best_score = score
     return best
 
@@ -145,16 +161,7 @@ def _recurse(
     position = labels.index(target)
     rest_labels = tuple(l for l in labels if l != target)
     branches = peel(v, position)
-    best = None
-    best_score = -1.0
-    for k, br in enumerate(branches):
-        sub = _recurse(br.residual, rest_labels, rest_order, eps_deg)
-        if sub is None:
-            continue
-        score = br.weight * br.weight * sub[3]
-        if score > best_score:
-            best = (k, br, sub)
-            best_score = score
+    best = _best_branch(branches, rest_labels, rest_order, eps_deg)
     if best is None:
         return None
     k, br, (sub_steps, report, sub_qprod, sub_combined) = best
@@ -325,18 +332,7 @@ def multipartite_witness(
         q_product=q_product,
         combined_probability=combined,
     )
-    conditions = _evaluate_conditions(v, witness, zero_tol)
-    return MultipartiteWitness(
-        applicable=True,
-        reason=None,
-        dims=v.dims,
-        steps=steps,
-        final_subsystems=witness.final_subsystems,
-        final_report=report,
-        q_product=q_product,
-        combined_probability=combined,
-        conditions=conditions,
-    )
+    return replace(witness, conditions=_evaluate_conditions(v, witness, zero_tol))
 
 
 def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointProbabilityTable:

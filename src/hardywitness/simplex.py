@@ -45,7 +45,7 @@ def solve_equality_feasibility(
     flips = np.where(b < 0, -1.0, 1.0)
     tableau = np.hstack([a * flips[:, None], np.eye(m)])
     rhs = b * flips
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     # Reduced costs for phase-1 (artificial costs 1, original costs 0) with
     # the artificial columns basic: r = c - colsums over [A | I].
     reduced = np.concatenate([np.zeros(n), np.ones(m)]) - tableau.sum(axis=0)
@@ -64,21 +64,17 @@ def solve_equality_feasibility(
                 "this indicates numerical breakdown)"
             )
         ratios = rhs[rows] / tableau[rows, j]
-        best = None
-        for row, ratio in zip(rows, ratios):
-            key = (ratio, basis[row])  # Bland: ties go to the lowest basic index
-            if best is None or key < best[0]:
-                best = (key, row)
-        pivot_row = int(best[1])
+        # Bland: ratio ties go to the lowest basic index.
+        pivot_row = int(rows[np.lexsort((basis[rows], ratios))[0]])
         pivot = tableau[pivot_row, j]
         tableau[pivot_row] /= pivot
         rhs[pivot_row] /= pivot
-        for i in range(m):
-            if i != pivot_row and tableau[i, j] != 0.0:
-                factor = tableau[i, j]
-                tableau[i] -= factor * tableau[pivot_row]
-                rhs[i] -= factor * rhs[pivot_row]
-                rhs[i] = max(rhs[i], 0.0)
+        factors = tableau[:, j].copy()
+        factors[pivot_row] = 0.0
+        hit = factors != 0.0
+        tableau[hit] -= np.outer(factors[hit], tableau[pivot_row])
+        rhs[hit] -= factors[hit] * rhs[pivot_row]
+        rhs[hit & (rhs < 0.0)] = 0.0
         factor = reduced[j]
         reduced -= factor * tableau[pivot_row]
         reduced[j] = 0.0
@@ -88,14 +84,12 @@ def solve_equality_feasibility(
             raise NumericalFailure(
                 f"simplex exceeded {max_iterations} pivots; presumed cycling"
             )
-    infeasibility = float(
-        sum(rhs[i] for i in range(m) if basis[i] >= n)
-    )
+    artificial = basis >= n
+    # A Python float sum in row order keeps the value bit-stable.
+    infeasibility = float(sum(rhs[artificial].tolist()))
     if infeasibility <= feas_tol:
         x = np.zeros(n)
-        for i, var in enumerate(basis):
-            if var < n:
-                x[var] = rhs[i]
+        x[basis[~artificial]] = rhs[~artificial]
         return FeasibilityResult(True, x, None, infeasibility, iterations)
     # Simplex multipliers: the reduced cost of artificial column i equals
     # 1 - y_i throughout, so y falls out of the final cost row.

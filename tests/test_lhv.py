@@ -1,5 +1,11 @@
+import hashlib
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hardywitness as hw
@@ -33,6 +39,110 @@ class TestEnumeration:
         assert len(strategies) == 4 * 2
         seen = {s.assignments for s in strategies}
         assert len(seen) == 8
+
+
+@st.composite
+def table_shapes(draw):
+    """Setting labels and outcome alphabets of a small random table."""
+    n = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    alphabets = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    rows = math.prod(counts) * math.prod(len(outs) for outs in alphabets)
+    strategies = math.prod(len(outs) ** c for c, outs in zip(counts, alphabets))
+    assume(rows * strategies <= 20000)  # keeps the Python oracle fast
+    labels = tuple(
+        tuple(f"S{party}{k}" for k in range(c)) for party, c in enumerate(counts)
+    )
+    return labels, tuple(tuple(outs) for outs in alphabets)
+
+
+class TestConstraintSystem:
+    @settings(max_examples=60, deadline=None)
+    @given(table_shapes())
+    def test_matches_column_by_column_oracle(self, shape):
+        party_settings, party_outcomes = shape
+        keys = [
+            (choice, outcomes)
+            for choice in itertools.product(*party_settings)
+            for outcomes in itertools.product(*party_outcomes)
+        ]
+        entries = {key: 1.0 / (k + 2) for k, key in enumerate(keys)}
+        table = JointProbabilityTable(party_settings, party_outcomes, entries)
+        got_keys, strategies, a, b = _constraint_system(table)
+        assert list(got_keys) == keys
+        assert strategies == hw.strategies_for_table(table)
+        oracle = np.zeros((len(keys) + 1, len(strategies)))
+        for col, strategy in enumerate(strategies):
+            for row, (choice, outcomes) in enumerate(keys):
+                oracle[row, col] = all(
+                    strategy.outcome(party, table.setting_index(party, choice[party]))
+                    == outcomes[party]
+                    for party in range(table.n_parties)
+                )
+        oracle[-1] = 1.0
+        assert np.array_equal(a, oracle)
+        assert np.array_equal(b, [entries[key] for key in keys] + [1.0])
+
+
+def _bell_degenerate_table():
+    bell = hw.make_state([2, 2], [1, 0, 0, 1])
+    d = hw.schmidt_decompose(bell, SPLIT)
+    con = hw.build_construction(d, (0, 1), allow_degenerate=True)
+    return hw.joint_table(bell, con)
+
+
+class TestPinnedSolves:
+    """Phase-1 results pinned bit for bit on four tables.
+
+    Any change to the constraint matrix, the pivot sequence or the arithmetic
+    of a pivot moves these bytes, and with them the certificates.
+    """
+
+    PINNED = {
+        "hardy_08_02": (
+            False, 17, "0x1.c71c71c71c71dp-1",
+            "b3309f5d6ea13eb494948a937ed1b875ba42757cf73a394dd866b69ea153591f",
+        ),
+        "hardy_08_02_idealized": (
+            False, 17, "0x1.c71c71c71c71fp-1",
+            "d178bfafe9f56d937954b60c37453bbd63352fdc8549c509ba1c95abddac624d",
+        ),
+        "tripartite_2_45": (
+            False, 89, "0x1.c71c71c71c715p-2",
+            "a8f9442539cd3edd1e79171a2110bcafa414fb5d41246bf2153cfb979da6924c",
+        ),
+        "bell_mixture": (
+            True, 6, "0x1.0000000000000p-50",
+            "8745f3285f86a9d936484210a120c9be4fe0b7749b5ccddccb59b19930e46c7a",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_bit_identical(self, name, report_08_02, tripartite_example):
+        tables = {
+            "hardy_08_02": lambda: report_08_02.table,
+            "hardy_08_02_idealized": lambda: hw.idealized_table(
+                report_08_02.table, hw.conditions_from_report(report_08_02)
+            ),
+            "tripartite_2_45": lambda: hw.multipartite_table(
+                tripartite_example, hw.multipartite_witness(tripartite_example)
+            ),
+            "bell_mixture": _bell_degenerate_table,
+        }
+        _, _, a, b = _constraint_system(tables[name]())
+        res = hw.solve_equality_feasibility(a, b)
+        feasible, iterations, infeasibility, digest = self.PINNED[name]
+        assert res.feasible == feasible
+        assert res.iterations == iterations
+        assert res.infeasibility.hex() == infeasibility
+        solution = res.x if feasible else res.dual
+        assert hashlib.sha256(solution.tobytes()).hexdigest() == digest
 
 
 class TestCertifyBipartite:
@@ -102,7 +212,7 @@ class TestCertifyMultipartite:
     def test_tripartite_example_infeasible(self, tripartite_example):
         w = hw.multipartite_witness(tripartite_example)
         table = hw.multipartite_table(tripartite_example, w)
-        cert = hw.certify_multipartite(table)
+        cert = hw.certify(table)
         assert not cert.feasible
         assert cert.margin > 1e-9
 
@@ -110,12 +220,8 @@ class TestCertifyMultipartite:
         w = hw.multipartite_witness(tripartite_example)
         product = hw.basis_state([3, 3, 2], (0, 1, 0))
         table = hw.multipartite_table(product, w)
-        cert = hw.certify_multipartite(table)
+        cert = hw.certify(table)
         assert cert.feasible
-
-    def test_rejects_bipartite_table(self, report_08_02):
-        with pytest.raises(ValueError):
-            hw.certify_multipartite(report_08_02.table)
 
 
 class TestContradictionTrace:

@@ -225,7 +225,7 @@ class TestMultipartiteWitness:
         assert abs(flagged.measured - 0.42 * 4 / 45) < 1e-9
         table = hw.multipartite_table(v, w)
         assert len(table.entries) == 4 * 3 * 3 * 2 * 2
-        cert = hw.certify_multipartite(table)
+        cert = hw.certify(table)
         assert not cert.feasible
 
 
