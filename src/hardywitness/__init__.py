@@ -65,6 +65,7 @@ from .multipartite import (
 from .sampling import (
     FrequencyReport,
     ShotRecord,
+    ShotRecords,
     analyze,
     export_csv,
     records_to_csv,

@@ -1,12 +1,21 @@
+import hashlib
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hardywitness as hw
+from conftest import random_state
 from hardywitness.sampling import (
+    CHUNK,
     DEFAULT_SCHEDULE,
     records_to_csv,
     sample_from_table,
     splitmix64,
+    uniform_chunk,
     uniform_unit,
 )
 
@@ -29,8 +38,66 @@ class TestGenerator:
     def test_seed_masked_to_64_bits(self):
         assert splitmix64(2**64 + 5, 3) == splitmix64(5, 3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(0, 2**64 - 1),
+            st.integers(-(2**70), -1),
+            st.integers(2**64, 2**70),
+        ),
+        start=st.one_of(st.integers(0, 2 * CHUNK), st.integers(0, 2**64 - 1)),
+        n=st.integers(0, 40),
+    )
+    def test_vector_uniforms_equal_scalar(self, seed, start, n):
+        # counters past 2^64 - 1 wrap in both forms
+        got = uniform_chunk(seed, start, start + n)
+        assert got.dtype == np.float64
+        assert got.tolist() == [uniform_unit(seed, k) for k in range(start, start + n)]
+
+
+def _loop_sample(table, shots, seed, schedule):
+    """Reference sampler, one shot at a time: the first edge of the running
+    sum above u, else the last positive edge."""
+    records = []
+    for k in range(shots):
+        pair = schedule[k % len(schedule)]
+        row = table.row(pair)
+        edges = list(itertools.accumulate(p for _, p in row))
+        u = uniform_unit(seed, k)
+        i = next((i for i, edge in enumerate(edges) if u < edge), None)
+        if i is None:
+            i = max(i for i, edge in enumerate(edges) if edge > 0.0)
+        records.append(hw.ShotRecord(k, *pair, *row[i][0]))
+    return records
+
+
+@st.composite
+def sampling_cases(draw):
+    """Two-party ternary tables with zero and tiny negative entries, and
+    schedules that repeat setting pairs."""
+    outcomes = list(itertools.product((1, -1, 0), repeat=2))
+    entry = st.one_of(st.just(0.0), st.just(-1e-12), st.floats(1e-6, 1.0))
+    entries = {}
+    for pair in DEFAULT_SCHEDULE:
+        weights = draw(st.lists(entry, min_size=9, max_size=9))
+        if max(weights) <= 0.0:
+            weights[-1] = 1.0
+        total = sum(w for w in weights if w > 0.0)
+        entries.update({(pair, o): w / total for o, w in zip(outcomes, weights)})
+    table = hw.JointProbabilityTable((("X1", "Y1"), ("X2", "Y2")), ((1, -1, 0),) * 2, entries)
+    schedule = draw(st.lists(st.sampled_from(DEFAULT_SCHEDULE), min_size=1, max_size=7))
+    return table, draw(st.integers(1, 300)), draw(st.integers(-(2**64), 2**65)), schedule
+
 
 class TestSample:
+    @settings(max_examples=100, deadline=None)
+    @given(sampling_cases())
+    def test_matches_per_shot_loop(self, case):
+        table, shots, seed, schedule = case
+        assert list(sample_from_table(table, shots, seed, schedule)) == _loop_sample(
+            table, shots, seed, schedule
+        )
+
     def test_deterministic_records(self, report_08_02):
         a = sample_from_table(report_08_02.table, 500, 123)
         b = sample_from_table(report_08_02.table, 500, 123)
@@ -90,11 +157,37 @@ class TestSample:
             DEFAULT_SCHEDULE + DEFAULT_SCHEDULE
         )
 
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("on_edge", (1, -1)),  # u equal to an edge belongs to the next pair
+            ("beyond_last_edge", (0, 0)),  # the last positive edge takes it
+            ("negative_entry", (1, 1)),  # the first edge above u, though edges dip
+        ],
+    )
+    def test_edge_rules(self, report_08_02, case, expected):
+        u = uniform_unit(1, 0)
+        rows = {
+            "on_edge": [u, 1.0 - u],
+            "beyond_last_edge": [0.0, u / 2],
+            "negative_entry": [u + 1e-12, -2e-12, 1.0 - u],
+        }
+        table = report_08_02.table
+        entries = dict(table.entries)
+        row = rows[case] + [0.0] * (9 - len(rows[case]))
+        for outcomes, p in zip(table.outcome_tuples(), row):
+            entries[(("X1", "X2"), outcomes)] = p
+        edited = hw.JointProbabilityTable(table.party_settings, table.party_outcomes, entries)
+        (record,) = sample_from_table(edited, 1, 1)
+        assert (record.outcome1, record.outcome2) == expected
+
     def test_bad_inputs(self, report_08_02):
         with pytest.raises(ValueError):
             sample_from_table(report_08_02.table, 0, 1)
         with pytest.raises(ValueError):
             sample_from_table(report_08_02.table, 10, 1, schedule=[("X1", "bogus")])
+        with pytest.raises(ValueError, match="schedule must not be empty"):
+            sample_from_table(report_08_02.table, 10, 1, schedule=[])
 
 
 class TestAnalyze:
@@ -155,6 +248,98 @@ class TestCsv:
         assert lines[0] == "shot,setting1,setting2,outcome1,outcome2"
         assert lines[1] == "0,X1,X2,{},{}".format(records[0].outcome1, records[0].outcome2)
         assert text == records_to_csv(sample_from_table(report_08_02.table, 10, 2))
+        out = tmp_path / "records.csv"
+        hw.export_csv(records, out)
+        assert out.read_bytes() == text.encode()
+
+
+class TestRecords:
+    def test_list_behaviour(self, report_08_02):
+        records = sample_from_table(report_08_02.table, 10, 2)
+        as_list = list(records)
+        assert len(records) == 10
+        assert [r.index for r in as_list] == list(range(10))
+        assert records[-1] == as_list[-1] and records[3] == as_list[3]
+        assert records[2:7:2] == as_list[2:7:2]
+        assert records == as_list and as_list == records
+        with pytest.raises(IndexError):
+            records[10]
+
+    def test_plain_list_keeps_its_shot_numbers(self, report_08_02):
+        # a filtered list goes through the same column path as a sampled run;
+        # the per-record loops below are the reference
+        records = [r for r in sample_from_table(report_08_02.table, 2000, 4) if r.outcome1 == 1]
+        text = records_to_csv(records)
+        assert text == "\n".join(
+            ["shot,setting1,setting2,outcome1,outcome2"]
+            + [f"{r.index},{r.setting1},{r.setting2},{r.outcome1},{r.outcome2}" for r in records]
+        ) + "\n"
+        report = hw.analyze(records, report_08_02.table)
+        assert report.shots == len(records)
+        for c in report.cells:
+            assert c.count == sum(
+                1
+                for r in records
+                if ((r.setting1, r.setting2), (r.outcome1, r.outcome2)) == (c.settings, c.outcomes)
+            )
+
+    def test_at_most_one_byte_per_shot(self, report_08_02):
+        shots = 3 * CHUNK + 1
+        records = sample_from_table(report_08_02.table, shots, 5)
+        arrays = [v for v in vars(records).values() if isinstance(v, np.ndarray)]
+        assert len(records) == shots
+        assert sum(a.nbytes for a in arrays) <= shots
+        # counting allocates per chunk, not per shot (8 bytes per shot would
+        # be 24 * CHUNK here)
+        tracemalloc.start()
+        try:
+            hw.analyze(records, report_08_02.table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * CHUNK
+
+
+def _random_3x3_table():
+    v = random_state(np.random.default_rng(3), [3, 3])
+    return hw.make_witness_report(v, SPLIT).table
+
+
+class TestPinnedRecords:
+    """CSV sha256 and every analyze cell count, pinned bit for bit.
+
+    The second case repeats the (Y1, Y2) slot in a five-entry schedule and
+    runs past two chunk edges, so chunked drawing, the slot phase across
+    chunks and the merging of repeated slots are all covered.
+    """
+
+    PINNED = {
+        "hardy_08_02_seed42": (
+            10**5,
+            42,
+            None,
+            "747bdfcb989ba7fd8f4f2d6dd781e7efeb24c5cda62e07f6dd96715a51ab413c",
+            [0, 10094, 0, 10032, 4874, 0, 0, 0, 0, 6645, 3371, 0, 0, 14984, 0, 0, 0, 0,
+             6661, 0, 0, 3374, 14965, 0, 0, 0, 0, 2265, 4362, 0, 4365, 14008, 0, 0, 0, 0],
+        ),
+        "random_3x3_repeated_slot": (
+            2 * CHUNK + 3,
+            7,
+            [("Y1", "Y2"), ("X1", "X2"), ("Y1", "Y2"), ("X1", "Y2"), ("Y1", "X2")],
+            "4e8f4b5e50b9bae9ea28ecd811fb68f6533eccc48206daac576695e02073f50c",
+            [0, 9489, 0, 9409, 7049, 0, 0, 0, 268, 5435, 4022, 0, 0, 16494, 0, 0, 0, 264,
+             5350, 0, 0, 4029, 16549, 0, 0, 0, 287, 4514, 6200, 0, 6236, 34934, 0, 0, 0, 546],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_bit_identical(self, name, report_08_02, tmp_path):
+        table = report_08_02.table if name == "hardy_08_02_seed42" else _random_3x3_table()
+        shots, seed, schedule, digest, counts = self.PINNED[name]
+        records = sample_from_table(table, shots, seed, schedule)
+        text = records_to_csv(records)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert [c.count for c in hw.analyze(records, table).cells] == counts
         out = tmp_path / "records.csv"
         hw.export_csv(records, out)
         assert out.read_bytes() == text.encode()
