@@ -173,9 +173,20 @@ def sample_from_table(
 
     Shot k uses counter k of the seed's stream and the schedule entry
     k mod len(schedule).  Outcome pairs are scanned in the table's fixed
-    outcome order, so zero-probability pairs own empty intervals and are
-    never selected.
+    outcome order and shot k takes the first pair whose running sum exceeds
+    its uniform u, so a zero-probability pair owns an empty interval and is
+    never taken while u lies below the row's last edge.  When u lies at or
+    beyond that edge (the row sums to slightly less than 1), the shot takes
+    the last pair whose running sum is positive: normally the row's last
+    pair, even when that pair's own probability is zero.
+
+    Only two-party tables can be sampled; a table of any other number of
+    parties raises ``ValueError``.
     """
+    if table.n_parties != 2:
+        raise ValueError(
+            f"sampling needs a two-party table, got {table.n_parties} parties"
+        )
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if schedule is None:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -247,3 +249,181 @@ class TestMultipartiteTable:
         w = hw.multipartite_witness(hw.ghz_state(3))
         with pytest.raises(ValueError):
             hw.multipartite_table(hw.ghz_state(3), w)
+
+
+# --- the search against a per-order oracle, and its work counts ---
+
+LEAF_SPLIT = hw.Bipartition((0,), (1,))
+
+
+def _oracle_recurse(v, labels, order):
+    """Per-order search that peels afresh and builds a full report per leaf."""
+    if len(labels) == 2:
+        report = hw.make_witness_report(v, LEAF_SPLIT)
+        if not report.applicable:
+            return None
+        return (), report, 1.0, float(report.hardy_closed_form)
+    target = order[0]
+    branches = hw.peel(v, labels.index(target))
+    rest = tuple(l for l in labels if l != target)
+    best, best_score = None, -1.0
+    for k, br in enumerate(branches):
+        sub = _oracle_recurse(br.residual, rest, order[1:])
+        if sub is not None and br.weight * br.weight * sub[3] > best_score:
+            best, best_score = (k, br, sub), br.weight * br.weight * sub[3]
+    if best is None:
+        return None
+    k, br, (steps, report, q_prod, combined) = best
+    step = (target, k, tuple(b.weight for b in branches), br.particle_vector)
+    q_sq = br.weight * br.weight
+    return (step,) + steps, report, q_sq * q_prod, q_sq * combined
+
+
+def _oracle_measured(v, steps, final, report, cond):
+    """Chain-rule probability of one joint condition, projector by projector."""
+    n = len(v.dims)
+    projections = []
+    for subsystem, label, outcome in zip(final, cond.settings, cond.outcomes):
+        obs = report.construction.observable(label)
+        if outcome == 0:
+            projections.append((subsystem, hw.apply_local_complement, obs.marked_vectors()))
+        else:
+            projections.append((subsystem, hw.apply_local_projector, obs.vector(outcome)))
+    projections += [(s[0], hw.apply_local_projector, s[3]) for s in steps]
+    total, current = 1.0, v
+    for subsystem, project, payload in projections:
+        split = hw.Bipartition((subsystem,), tuple(k for k in range(n) if k != subsystem))
+        prob, current = project(current, split, 1, payload)
+        total *= prob
+        if current is None:
+            break
+    return total
+
+
+def _oracle_witness(v, orders):
+    labels = tuple(range(len(v.dims)))
+    best, best_combined = None, -1.0
+    for order in orders:
+        result = _oracle_recurse(v, labels, order)
+        if result is not None and result[3] > best_combined:
+            best, best_combined = result, result[3]
+    return best
+
+
+def _assert_matches_oracle(v, witness, orders):
+    best = _oracle_witness(v, orders)
+    if best is None:
+        assert not witness.applicable
+        assert witness.reason == "no peeling branch leads to an applicable two-party test"
+        return
+    steps, report, q_product, combined = best
+    assert witness.applicable and witness.reason is None
+    assert witness.combined_probability == combined
+    assert witness.q_product == q_product
+    assert type(witness.combined_probability) is float and type(witness.q_product) is float
+    got = [(s.subsystem, s.marked, s.weights) for s in witness.steps]
+    assert got == [s[:3] for s in steps]
+    assert witness.final_report.weights == report.weights
+    assert witness.final_report.pair == report.pair
+    assert witness.final_report.hardy_closed_form == report.hardy_closed_form
+    peeled = {s[0] for s in steps}
+    final = tuple(k for k in range(len(v.dims)) if k not in peeled)
+    assert witness.final_subsystems == final
+    expected = [
+        _oracle_measured(v, steps, final, report, cond)
+        for cond in hw.ZERO_CONDITIONS + (hw.FLAGGED_CONDITION,)
+    ]
+    assert [c.measured for c in witness.conditions] == expected
+
+
+def _w_state(n):
+    amps = np.zeros(2**n, complex)
+    amps[[2**k for k in range(n)]] = 1.0
+    return hw.make_state([2] * n, amps)
+
+
+def _oracle_grid():
+    """Seeded states: generic, zeroed amplitudes, product factors, GHZ and W."""
+    rng = np.random.default_rng(5150)
+    cases = []
+    for dims in [(2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 2), (3, 3, 3),
+                 (2, 2, 2, 2), (3, 2, 2, 2), (2, 2, 3, 3), (2, 2, 2, 2, 2)]:
+        cases.append((f"generic{dims}", random_state(rng, dims)))
+        v = random_state(rng, dims)
+        amps = np.where(rng.random(v.amps.size) < 0.4, 0, v.amps)
+        amps[0] = 1.0
+        cases.append((f"zeroed{dims}", hw.make_state(dims, amps)))
+    for dims, slot in [((2, 3, 2), 1), ((3, 2, 2, 2), 0), ((2, 2, 2, 2, 2), 2)]:
+        rest = dims[:slot] + dims[slot + 1:]
+        factor = rng.standard_normal(dims[slot]) + 1j * rng.standard_normal(dims[slot])
+        amps = np.kron(random_state(rng, rest).amps, factor)
+        amps = np.moveaxis(amps.reshape(rest + (dims[slot],)), -1, slot).reshape(-1)
+        cases.append((f"product{dims}@{slot}", hw.make_state(dims, amps)))
+    # exact ties between peel orders: the first order in permutation order wins
+    phi = hw.make_state([2, 2], [0.8**0.5, 0, 0, 0.2**0.5]).amps
+    cases.append(("tied_phi00", hw.make_state([2] * 4, np.kron(np.kron(phi, [1, 0]), [1, 0]))))
+    cases.append(("tied_phiphi", hw.make_state([2] * 4, np.kron(phi, phi))))
+    for n in (3, 4, 5):
+        cases.append((f"ghz{n}", hw.ghz_state(n)))
+        cases.append((f"w{n}", _w_state(n)))
+    cases.append(("ghz3_dim3", hw.ghz_state(3, 3)))
+    return cases
+
+
+ORACLE_GRID = _oracle_grid()
+# the old search builds up to 480 reports per 5-party exhaustive call, so one
+# generic, one GHZ and one W state cover that size
+EXHAUSTIVE_GRID = [
+    c for c in ORACLE_GRID
+    if len(c[1].dims) < 5 or not c[0].startswith(("zeroed", "product"))
+]
+
+
+class TestSearchMatchesOracle:
+    @pytest.mark.parametrize("name,v", ORACLE_GRID, ids=[c[0] for c in ORACLE_GRID])
+    def test_default_and_explicit_order(self, name, v):
+        n = len(v.dims)
+        default = tuple(range(n - 1, 1, -1))
+        _assert_matches_oracle(v, hw.multipartite_witness(v), [default])
+        order = tuple(np.random.default_rng(n).permutation(n)[: n - 2])
+        order = tuple(int(k) for k in order)
+        _assert_matches_oracle(v, hw.multipartite_witness(v, peel_order=order), [order])
+
+    @pytest.mark.parametrize("name,v", EXHAUSTIVE_GRID, ids=[c[0] for c in EXHAUSTIVE_GRID])
+    def test_exhaustive(self, name, v):
+        n = len(v.dims)
+        orders = list(itertools.permutations(range(n), n - 2))
+        _assert_matches_oracle(v, hw.multipartite_witness(v, exhaustive=True), orders)
+
+
+class TestSearchWorkCounts:
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        from hardywitness import multipartite as mp
+
+        calls = {"peel": 0, "report": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(mp, "peel", counted("peel", mp.peel))
+        monkeypatch.setattr(mp, "make_witness_report", counted("report", mp.make_witness_report))
+        return calls
+
+    @pytest.fixture()
+    def qubits5(self):
+        return random_state(np.random.default_rng(77), (2,) * 5)
+
+    def test_exhaustive_peels_each_prefix_once(self, counts, qubits5):
+        w = hw.multipartite_witness(qubits5, exhaustive=True)
+        assert w.applicable
+        assert counts == {"peel": 5 + 40 + 240, "report": 1}
+
+    def test_default_order(self, counts, qubits5):
+        w = hw.multipartite_witness(qubits5)
+        assert w.applicable
+        assert counts == {"peel": 1 + 2 + 4, "report": 1}

@@ -189,6 +189,13 @@ class TestSample:
         with pytest.raises(ValueError, match="schedule must not be empty"):
             sample_from_table(report_08_02.table, 10, 1, schedule=[])
 
+    def test_rejects_tables_that_are_not_two_party(self, tripartite_example):
+        witness = hw.multipartite_witness(tripartite_example)
+        table = hw.multipartite_table(tripartite_example, witness)
+        schedule = [("X1", "X2", "T3"), ("X1", "Y2", "T3")]
+        with pytest.raises(ValueError, match="two-party table, got 3 parties"):
+            sample_from_table(table, 10, 1, schedule=schedule)
+
 
 class TestAnalyze:
     def test_zero_condition_passes_with_no_hits(self, report_08_02):
