@@ -24,7 +24,6 @@ from .errors import (
 from .hardy import (
     FLAGGED_CONDITION,
     ZERO_CONDITIONS,
-    HardyBases,
     HardyCondition,
     HardyConstruction,
     HardyRotations,

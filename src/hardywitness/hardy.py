@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,20 +176,6 @@ class Observable:
 
 
 @dataclass(frozen=True)
-class HardyBases:
-    """The rotated x/y orthonormal pairs on both sides."""
-
-    x_plus_1: np.ndarray
-    x_minus_1: np.ndarray
-    y_plus_1: np.ndarray
-    y_minus_1: np.ndarray
-    x_plus_2: np.ndarray
-    x_minus_2: np.ndarray
-    y_plus_2: np.ndarray
-    y_minus_2: np.ndarray
-
-
-@dataclass(frozen=True)
 class HardyConstruction:
     """Everything derived from one Schmidt decomposition and weight pair."""
 
@@ -197,7 +184,6 @@ class HardyConstruction:
     p1: float
     p2: float
     rotations: HardyRotations
-    bases: HardyBases
     observables: tuple[Observable, Observable, Observable, Observable]
 
     @property
@@ -249,35 +235,47 @@ def build_construction(
     y_plus_1, y_minus_1 = _rotated_pair(yu, a1, a2)
     x_plus_2, x_minus_2 = _rotated_pair(rot.x_from_schmidt, b1, b2)
     y_plus_2, y_minus_2 = _rotated_pair(yu, b1, b2)
-    bases = HardyBases(
-        x_plus_1, x_minus_1, y_plus_1, y_minus_1,
-        x_plus_2, x_minus_2, y_plus_2, y_minus_2,
-    )
     observables = (
         Observable("X1", 1, ((1, x_plus_1), (-1, x_minus_1))),
         Observable("Y1", 1, ((1, y_plus_1), (-1, y_minus_1))),
         Observable("X2", 2, ((1, x_plus_2), (-1, x_minus_2))),
         Observable("Y2", 2, ((1, y_plus_2), (-1, y_minus_2))),
     )
-    return HardyConstruction(d, (i, j), p1, p2, rot, bases, observables)
+    return HardyConstruction(d, (i, j), p1, p2, rot, observables)
 
 
 @dataclass(frozen=True)
 class JointProbabilityTable:
     """Joint outcome distributions for every choice of one setting per party.
 
-    Keys of ``entries`` are ``(settings, outcomes)`` tuples, one setting
-    label and one outcome per party.  Every party uses a single outcome
-    alphabet across its settings.
+    ``probs`` is one read-only float64 array with one setting axis per party
+    followed by one outcome axis per party: ``probs[s1, ..., sn, o1, ..., on]``
+    is the probability that party k answers ``party_outcomes[k][ok]`` when it
+    measures ``party_settings[k][sk]``.  Its C-order ravel follows
+    :meth:`ordered_keys`, and the constructor accepts any array or sequence
+    with that ravel (a flat list in key order included).  ``prob``, ``row``
+    and the ``entries`` mapping are read from ``probs``.  Every party uses a
+    single outcome alphabet across its settings.
     """
 
     party_settings: tuple[tuple[str, ...], ...]
     party_outcomes: tuple[tuple[int, ...], ...]
-    entries: dict
+    probs: np.ndarray
+
+    def __post_init__(self):
+        shape = tuple(len(axis) for axis in (*self.party_settings, *self.party_outcomes))
+        probs = np.array(self.probs, dtype=np.float64).reshape(shape)
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
 
     @property
     def n_parties(self) -> int:
         return len(self.party_settings)
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only ``{(settings, outcomes): probability}`` view, in key order."""
+        return _TableEntries(self)
 
     def setting_choices(self):
         return itertools.product(*self.party_settings)
@@ -292,51 +290,71 @@ class JointProbabilityTable:
             for outcomes in self.outcome_tuples()
         ]
 
+    def index(self, settings, outcomes=()) -> tuple[int, ...]:
+        """Position in ``probs`` of one entry, or of a setting choice's row."""
+        axes = (*self.party_settings, *self.party_outcomes)
+        return tuple(axis.index(x) for axis, x in zip(axes, (*settings, *outcomes)))
+
     def prob(self, settings, outcomes) -> float:
-        return self.entries[(tuple(settings), tuple(outcomes))]
+        return float(self.probs[self.index(settings, outcomes)])
 
     def row(self, choice) -> list[tuple[tuple[int, ...], float]]:
-        choice = tuple(choice)
-        return [(outcomes, self.entries[(choice, outcomes)]) for outcomes in self.outcome_tuples()]
+        values = self.probs[self.index(choice)].ravel().tolist()
+        return list(zip(self.outcome_tuples(), values))
 
     def setting_index(self, party: int, label: str) -> int:
         return self.party_settings[party].index(label)
 
     def check(self, tol: float = DEFAULT_ZERO_TOL) -> None:
-        """Validate entry range, per-choice normalization, and no-signalling."""
-        for key, p in self.entries.items():
-            if not -tol <= p <= 1.0 + 1e-12:
-                raise NumericalFailure(f"entry {key} out of range: {p!r}")
-        for choice in self.setting_choices():
-            total = sum(p for _, p in self.row(choice))
-            if abs(total - 1.0) > tol:
+        """Validate entry range, per-choice normalization, and no-signalling.
+
+        Each failure names the check and its worst value.  The comparisons
+        are written so that a NaN entry fails them.
+        """
+        n = self.n_parties
+        outcome_axes = tuple(range(n, 2 * n))
+        low, high = float(self.probs.min()), float(self.probs.max())
+        if not -tol <= low:
+            raise NumericalFailure(f"entry range: smallest entry is {low!r}")
+        if not high <= 1.0 + 1e-12:
+            raise NumericalFailure(f"entry range: largest entry is {high!r}")
+        totals = self.probs.sum(axis=outcome_axes)
+        off = float(np.abs(totals - 1.0).max())
+        if not off <= tol:
+            raise NumericalFailure(f"normalization: a row sum misses 1 by {off!r}")
+        for party in range(n):
+            marginals = self.probs.sum(axis=tuple(a for a in outcome_axes if a != n + party))
+            others = tuple(a for a in range(n) if a != party)
+            spread = float((marginals.max(axis=others) - marginals.min(axis=others)).max())
+            if not spread <= tol:
                 raise NumericalFailure(
-                    f"probabilities for settings {choice} sum to {total!r}"
+                    f"no-signalling: party {party}'s marginal moves with the "
+                    f"other parties' settings by {spread!r}"
                 )
-        for party in range(self.n_parties):
-            for label in self.party_settings[party]:
-                for outcome in self.party_outcomes[party]:
-                    marginals = []
-                    for choice in self.setting_choices():
-                        if choice[party] != label:
-                            continue
-                        marginals.append(
-                            sum(
-                                p
-                                for outcomes, p in self.row(choice)
-                                if outcomes[party] == outcome
-                            )
-                        )
-                    if max(marginals) - min(marginals) > tol:
-                        raise NumericalFailure(
-                            f"no-signalling violated for party {party}, "
-                            f"setting {label}, outcome {outcome}"
-                        )
+
+
+class _TableEntries(Mapping):
+    """Mapping view of a table: each lookup reads ``probs`` through ``prob``."""
+
+    def __init__(self, table: JointProbabilityTable):
+        self._table = table
+
+    def __getitem__(self, key) -> float:
+        try:
+            return self._table.prob(*key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return iter(self._table.ordered_keys())
+
+    def __len__(self) -> int:
+        return self._table.probs.size
 
 
 def _clamped(value: float) -> float:
     if value < NEGATIVE_ENTRY_TOL:
-        raise NumericalFailure(f"probability {value!r} below the roundoff floor")
+        raise NumericalFailure(f"probability {float(value)!r} below the roundoff floor")
     return max(value, 0.0)
 
 
@@ -348,45 +366,31 @@ def joint_table(v: StateVector, construction: HardyConstruction) -> JointProbabi
     never materialized.
     """
     m = reshape_bipartite(v, construction.split)
-    entries: dict = {}
-    for s1 in SIDE1_SETTINGS:
-        a_vecs = dict(construction.observable(s1).outcome_vectors)
-        for s2 in SIDE2_SETTINGS:
-            b_vecs = dict(construction.observable(s2).outcome_vectors)
+    probs = np.empty((2, 2, 3, 3))
+    for i1, s1 in enumerate(SIDE1_SETTINGS):
+        a = construction.observable(s1).marked_vectors()
+        for i2, s2 in enumerate(SIDE2_SETTINGS):
+            b = construction.observable(s2).marked_vectors()
             # Amplitudes for the four (marked, marked) outcome pairs plus the
             # conditional side vectors needed for the 0 bins.
-            w = {o: a_vecs[o].conj() @ m for o in (1, -1)}
-            z = {o: m @ b_vecs[o].conj() for o in (1, -1)}
-            choice = (s1, s2)
-            for o1 in (1, -1):
-                for o2 in (1, -1):
-                    amp = w[o1] @ b_vecs[o2].conj()
-                    entries[(choice, (o1, o2))] = float(abs(amp) ** 2)
-            for o1 in (1, -1):
-                leftover = float(np.vdot(w[o1], w[o1]).real)
-                for o2 in (1, -1):
-                    leftover -= entries[(choice, (o1, o2))]
-                entries[(choice, (o1, 0))] = _clamped(leftover)
-            for o2 in (1, -1):
-                leftover = float(np.vdot(z[o2], z[o2]).real)
-                for o1 in (1, -1):
-                    leftover -= entries[(choice, (o1, o2))]
-                entries[(choice, (0, o2))] = _clamped(leftover)
+            w = [u.conj() @ m for u in a]
+            z = [m @ u.conj() for u in b]
+            p = probs[i1, i2]  # outcome index 0, 1, 2 is outcome +1, -1, 0
+            for k1 in range(2):
+                for k2 in range(2):
+                    p[k1, k2] = float(abs(w[k1] @ b[k2].conj()) ** 2)
+            for k in range(2):
+                p[k, 2] = _clamped(float(np.vdot(w[k], w[k]).real) - p[k, 0] - p[k, 1])
+                p[2, k] = _clamped(float(np.vdot(z[k], z[k]).real) - p[0, k] - p[1, k])
             rest = m.copy()
-            for o1 in (1, -1):
-                rest -= np.outer(a_vecs[o1], w[o1])
-            for o2 in (1, -1):
-                rest -= np.outer(rest @ b_vecs[o2].conj(), b_vecs[o2])
-            entries[(choice, (0, 0))] = _clamped(float(np.linalg.norm(rest) ** 2))
-    ordered = {}
+            for u, wk in zip(a, w):
+                rest -= np.outer(u, wk)
+            for u in b:
+                rest -= np.outer(rest @ u.conj(), u)
+            p[2, 2] = _clamped(float(np.linalg.norm(rest) ** 2))
     table = JointProbabilityTable(
-        (SIDE1_SETTINGS, SIDE2_SETTINGS),
-        (TERNARY_OUTCOMES, TERNARY_OUTCOMES),
-        ordered,
+        (SIDE1_SETTINGS, SIDE2_SETTINGS), (TERNARY_OUTCOMES, TERNARY_OUTCOMES), probs
     )
-    for choice in table.setting_choices():
-        for outcomes in table.outcome_tuples():
-            ordered[(choice, outcomes)] = entries[(choice, outcomes)]
     table.check()
     return table
 
@@ -449,22 +453,25 @@ def verify_equivalent_decompositions(
         if k in (i, j):
             continue
         tail += d.weights[k] * np.outer(d.left_vectors[:, k], d.right_vectors[:, k])
-    b = construction.bases
+    x_plus_1, x_minus_1 = construction.observable("X1").marked_vectors()
+    x_plus_2, x_minus_2 = construction.observable("X2").marked_vectors()
+    y_minus_1 = construction.observable("Y1").vector(-1)
+    y_minus_2 = construction.observable("Y2").vector(-1)
     root_cross = 1j * math.sqrt(p1 * p2)
     root_mixed = 1j * math.sqrt(p1 * p1 + p2 * p2 - p1 * p2)
     form1 = (
-        root_cross * (np.outer(b.x_plus_1, b.x_minus_2) + np.outer(b.x_minus_1, b.x_plus_2))
-        + (p2 - p1) * np.outer(b.x_minus_1, b.x_minus_2)
+        root_cross * (np.outer(x_plus_1, x_minus_2) + np.outer(x_minus_1, x_plus_2))
+        + (p2 - p1) * np.outer(x_minus_1, x_minus_2)
         + tail
     )
     form2 = (
-        root_mixed * np.outer(b.y_minus_1, b.x_minus_2)
-        + root_cross * np.outer(b.x_minus_1, b.x_plus_2)
+        root_mixed * np.outer(y_minus_1, x_minus_2)
+        + root_cross * np.outer(x_minus_1, x_plus_2)
         + tail
     )
     form3 = (
-        root_cross * np.outer(b.x_plus_1, b.x_minus_2)
-        + root_mixed * np.outer(b.x_minus_1, b.y_minus_2)
+        root_cross * np.outer(x_plus_1, x_minus_2)
+        + root_mixed * np.outer(x_minus_1, y_minus_2)
         + tail
     )
     residuals = tuple(

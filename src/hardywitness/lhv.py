@@ -124,7 +124,7 @@ def _constraint_system(table: JointProbabilityTable):
         shape[party], shape[n + party], shape[2 * n + party] = onehot.shape
         hits = hits * onehot.reshape(shape)
     a = np.vstack([hits.reshape(len(keys), len(strategies)), np.ones(len(strategies))])
-    b = np.array([table.entries[key] for key in keys] + [1.0])
+    b = np.append(table.probs.ravel(), 1.0)
     return keys, strategies, a, b
 
 
@@ -183,10 +183,10 @@ def idealized_table(
     table: JointProbabilityTable, conditions: HardyConditionSet
 ) -> JointProbabilityTable:
     """Copy of the table with the designated zero entries snapped to exact 0."""
-    entries = dict(table.entries)
+    probs = table.probs.copy()
     for cond in conditions.zero_conditions:
-        entries[(cond.settings, cond.outcomes)] = 0.0
-    return JointProbabilityTable(table.party_settings, table.party_outcomes, entries)
+        probs[table.index(cond.settings, cond.outcomes)] = 0.0
+    return JointProbabilityTable(table.party_settings, table.party_outcomes, probs)
 
 
 @dataclass(frozen=True)

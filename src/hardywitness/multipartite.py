@@ -231,56 +231,46 @@ def _single_subsystem_split(n: int, subsystem: int) -> Bipartition:
     )
 
 
-def _joint_probability(v: StateVector, projections) -> float:
-    """Probability of a joint outcome given as (subsystem, kind, payload) steps.
+def _entry_probability(
+    v: StateVector, witness: MultipartiteWitness, settings, outcomes
+) -> float:
+    """Probability of one joint outcome of the final pair and the peeled parties.
 
-    ``kind`` is "vector" (rank-1 projector onto payload) or "complement"
-    (orthogonal complement of the payload vectors).  Projectors on distinct
-    subsystems commute, so the chain rule over normalized residuals applies.
+    Parties are ordered as in :func:`multipartite_table`; a peeled party's
+    setting is its single T observable.  Outcome 0 projects onto the
+    orthogonal complement of the observable's marked vectors.  Projectors on
+    distinct subsystems commute, so the chain rule over normalized residuals
+    applies.
     """
+    construction = witness.final_report.construction
+    observables = [construction.observable(label) for label in settings[:2]]
+    observables += [step.observable for step in witness.steps]
+    subsystems = witness.final_subsystems + tuple(s.subsystem for s in witness.steps)
     n = len(v.dims)
     total = 1.0
     current: StateVector | None = v
-    for subsystem, kind, payload in projections:
+    for subsystem, obs, outcome in zip(subsystems, observables, outcomes):
         split = _single_subsystem_split(n, subsystem)
-        if kind == "vector":
-            prob, current = apply_local_projector(current, split, 1, payload)
+        if outcome == 0:
+            prob, current = apply_local_complement(current, split, 1, obs.marked_vectors())
         else:
-            prob, current = apply_local_complement(current, split, 1, payload)
+            prob, current = apply_local_projector(current, split, 1, obs.vector(outcome))
         total *= prob
         if current is None:
             break
     return total
 
 
-def _condition_projections(witness: MultipartiteWitness, settings, outcomes):
-    a, b = witness.final_subsystems
-    construction = witness.final_report.construction
-    projections = []
-    for subsystem, label, outcome in (
-        (a, settings[0], outcomes[0]),
-        (b, settings[1], outcomes[1]),
-    ):
-        obs = construction.observable(label)
-        if outcome == 0:
-            projections.append((subsystem, "complement", obs.marked_vectors()))
-        else:
-            projections.append((subsystem, "vector", obs.vector(outcome)))
-    for step in witness.steps:
-        projections.append((step.subsystem, "vector", step.vectors[step.marked]))
-    return projections
-
-
 def _evaluate_conditions(
     v: StateVector, witness: MultipartiteWitness, zero_tol: float
 ) -> tuple[MultiConditionValue, ...]:
     values = []
-    t_suffix = ", ".join(
-        f"{s.observable.label}={s.marked_eigenvalue}" for s in witness.steps
-    )
+    t_settings = tuple(s.observable.label for s in witness.steps)
+    t_outcomes = tuple(s.marked_eigenvalue for s in witness.steps)
+    t_suffix = ", ".join(f"{s}={o}" for s, o in zip(t_settings, t_outcomes))
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
-        measured = _joint_probability(
-            v, _condition_projections(witness, cond.settings, cond.outcomes)
+        measured = _entry_probability(
+            v, witness, cond.settings + t_settings, cond.outcomes + t_outcomes
         )
         base = cond.label[:-1]  # strip ")"
         label = f"{base}, {t_suffix})"
@@ -380,8 +370,6 @@ def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointPro
     """
     if not witness.applicable:
         raise ValueError("cannot tabulate a non-applicable witness")
-    a, b = witness.final_subsystems
-    construction = witness.final_report.construction
     party_settings: list[tuple[str, ...]] = [("X1", "Y1"), ("X2", "Y2")]
     party_outcomes: list[tuple[int, ...]] = [(1, -1, 0), (1, -1, 0)]
     for step in witness.steps:
@@ -390,27 +378,11 @@ def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointPro
         if len(step.vectors) < v.dims[step.subsystem]:
             outcomes += (0,)
         party_outcomes.append(outcomes)
-
-    def projector_for(party: int, label: str, outcome: int):
-        if party == 0 or party == 1:
-            obs = construction.observable(label)
-            subsystem = a if party == 0 else b
-            if outcome == 0:
-                return (subsystem, "complement", obs.marked_vectors())
-            return (subsystem, "vector", obs.vector(outcome))
-        step = witness.steps[party - 2]
-        if outcome == 0:
-            return (step.subsystem, "complement", step.vectors)
-        return (step.subsystem, "vector", step.vectors[outcome - 1])
-
-    entries: dict = {}
-    for choice in itertools.product(*party_settings):
-        for outcomes in itertools.product(*party_outcomes):
-            projections = [
-                projector_for(party, choice[party], outcomes[party])
-                for party in range(len(choice))
-            ]
-            entries[(choice, outcomes)] = _joint_probability(v, projections)
-    table = JointProbabilityTable(tuple(party_settings), tuple(party_outcomes), entries)
+    probs = [
+        _entry_probability(v, witness, choice, outcomes)
+        for choice in itertools.product(*party_settings)
+        for outcomes in itertools.product(*party_outcomes)
+    ]
+    table = JointProbabilityTable(tuple(party_settings), tuple(party_outcomes), probs)
     table.check()
     return table

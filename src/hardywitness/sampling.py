@@ -200,7 +200,7 @@ def sample_from_table(
             raise ValueError(f"schedule entry {pair} is not a setting choice")
     outcome_pairs = tuple(table.outcome_tuples())
     n_pairs = len(outcome_pairs)
-    cdfs = [np.cumsum([p for _, p in table.row(pair)]) for pair in schedule]
+    cdfs = [np.cumsum(table.probs[table.index(pair)]) for pair in schedule]
     # The first edge above u is also the first running maximum above u, and
     # searchsorted needs sorted edges (a table may hold tiny negative entries).
     edges = [np.maximum.accumulate(cdf) for cdf in cdfs]

@@ -74,10 +74,6 @@ def make_state(dims, amps) -> StateVector:
     return normalize(StateVector(dims, a))
 
 
-def norm(v: StateVector) -> float:
-    return float(np.linalg.norm(v.amps))
-
-
 def normalize(v: StateVector) -> StateVector:
     """Rescale to unit norm; raises :class:`ZeroVector` for null input."""
     n = np.linalg.norm(v.amps)

@@ -126,13 +126,13 @@ def test_criterion_6_multipartite_combined_probability(tripartite_example):
         flagged = witness.conditions[-1]
         assert abs(flagged.measured - 2 / 45) < 1e-9
         # independent direct evaluation on the full state
-        bases = witness.final_report.construction.bases
+        construction = witness.final_report.construction
         tau = witness.steps[0].vectors[witness.steps[0].marked]
         psi = tripartite_example.amps.reshape(3, 3, 2)
         amp = np.einsum(
             "i,j,k,ijk->",
-            bases.y_plus_1.conj(),
-            bases.y_plus_2.conj(),
+            construction.observable("Y1").vector(1).conj(),
+            construction.observable("Y2").vector(1).conj(),
             tau.conj(),
             psi,
         )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hardywitness as hw
-from hardywitness.errors import DegeneratePair, NonPositiveWeight
+from hardywitness.errors import DegeneratePair, NonPositiveWeight, NumericalFailure
 from hardywitness.hardy import FLAGGED_CONDITION, ZERO_CONDITIONS
 from hardywitness.schmidt import SchmidtDecomposition
 
@@ -88,20 +88,14 @@ class TestConstruction:
             math.sqrt(p2) * d.left_vectors[:, 0]
             - 1j * math.sqrt(p1) * d.left_vectors[:, 1]
         ) / math.sqrt(p1 + p2)
-        assert_allclose(con.bases.x_plus_1, expected, atol=1e-12)
+        assert_allclose(con.observable("X1").vector(1), expected, atol=1e-12)
 
     def test_bases_orthonormal(self):
         rng = np.random.default_rng(19)
         v = random_state(rng, (3, 4))
         d = hw.schmidt_decompose(v, SPLIT)
         con = hw.build_construction(d, hw.distinct_weight_pairs(d)[0])
-        b = con.bases
-        for plus, minus in [
-            (b.x_plus_1, b.x_minus_1),
-            (b.y_plus_1, b.y_minus_1),
-            (b.x_plus_2, b.x_minus_2),
-            (b.y_plus_2, b.y_minus_2),
-        ]:
+        for plus, minus in [obs.marked_vectors() for obs in con.observables]:
             assert abs(np.vdot(plus, plus) - 1) < 1e-12
             assert abs(np.vdot(minus, minus) - 1) < 1e-12
             assert abs(np.vdot(plus, minus)) < 1e-12
@@ -147,16 +141,17 @@ class TestEquivalentDecompositions:
     def test_coefficients_on_schmidt_form_state(self, state_08_02):
         d = hw.schmidt_decompose(state_08_02, SPLIT)
         con = hw.build_construction(d, (0, 1))
-        b = con.bases
+        x_plus_1, x_minus_1 = con.observable("X1").marked_vectors()
+        x_plus_2, x_minus_2 = con.observable("X2").marked_vectors()
         m = hw.reshape_bipartite(state_08_02, SPLIT)
 
         def coeff(left, right):
             return left.conj() @ m @ right.conj()
 
         p1, p2 = con.p1, con.p2
-        assert abs(coeff(b.x_plus_1, b.x_plus_2)) < 1e-12
-        assert abs(coeff(b.x_plus_1, b.x_minus_2) - 1j * math.sqrt(p1 * p2)) < 1e-10
-        assert abs(coeff(b.x_minus_1, b.x_minus_2) - (p2 - p1)) < 1e-10
+        assert abs(coeff(x_plus_1, x_plus_2)) < 1e-12
+        assert abs(coeff(x_plus_1, x_minus_2) - 1j * math.sqrt(p1 * p2)) < 1e-10
+        assert abs(coeff(x_minus_1, x_minus_2) - (p2 - p1)) < 1e-10
 
     def test_residuals_small_on_random_states(self):
         rng = np.random.default_rng(99)
@@ -203,6 +198,80 @@ class TestJointTable:
         table2 = hw.joint_table(v, hw.build_construction(twisted, pair))
         for key, p in table.entries.items():
             assert abs(table2.entries[key] - p) < 1e-10
+
+
+def _edited(table, edit):
+    probs = table.probs.copy()
+    edit(probs)
+    return hw.JointProbabilityTable(table.party_settings, table.party_outcomes, probs)
+
+
+def _set(value):
+    def edit(probs):
+        probs.flat[0] = value
+
+    return edit
+
+
+def _add_to_first_row(probs):
+    probs.flat[0] += 1e-6
+
+
+def _shift_party_0_outcome(probs):
+    # move mass inside the first setting choice's row, from its largest entry
+    # to the entry with the next party-0 outcome: the row still sums to 1,
+    # but party 0's marginal now depends on the other parties' settings
+    n = probs.ndim // 2
+    row = probs[(0,) * n]
+    src = np.unravel_index(row.argmax(), row.shape)
+    dst = ((src[0] + 1) % row.shape[0],) + src[1:]
+    row[src] -= 1e-6
+    row[dst] += 1e-6
+
+
+class TestTableCheck:
+    """``check()`` on the 0.8/0.2 table and on the 2/45 tripartite table,
+    whose peeled party has a single setting."""
+
+    CASES = {
+        "nan_entry": (_set(float("nan")), "entry range", "nan"),
+        "below_minus_tol": (_set(-1e-9), "entry range", -1e-9),
+        "above_one": (_set(1.0 + 1e-9), "entry range", 1.0 + 1e-9),
+        "row_sum": (_add_to_first_row, "normalization", 1e-6),
+        "signalling": (_shift_party_0_outcome, "no-signalling", 1e-6),
+    }
+
+    @pytest.fixture(params=["bipartite_08_02", "tripartite_2_45"])
+    def table(self, request, report_08_02, tripartite_example):
+        if request.param == "bipartite_08_02":
+            return report_08_02.table
+        witness = hw.multipartite_witness(tripartite_example)
+        return hw.multipartite_table(tripartite_example, witness)
+
+    def test_valid_table_passes(self, table):
+        table.check()
+        assert table.probs.dtype == np.float64 and not table.probs.flags.writeable
+        assert table.probs.shape == tuple(
+            len(axis) for axis in table.party_settings + table.party_outcomes
+        )
+        assert list(table.entries) == table.ordered_keys()
+        assert list(table.entries.values()) == table.probs.ravel().tolist()
+        with pytest.raises(TypeError):
+            table.entries[table.ordered_keys()[0]] = 0.0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_with_check_and_worst_value(self, table, case):
+        edit, check_name, worst = self.CASES[case]
+        with pytest.raises(NumericalFailure) as info:
+            _edited(table, edit).check()
+        message = str(info.value)
+        assert message.startswith(check_name + ":")
+        assert "np.float64" not in message
+        reported = float(message.split()[-1])
+        if worst == "nan":
+            assert math.isnan(reported)
+        else:
+            assert reported == pytest.approx(worst, rel=1e-6)
 
 
 class TestWitnessReport:

@@ -73,7 +73,7 @@ class TestConstraintSystem:
             for outcomes in itertools.product(*party_outcomes)
         ]
         entries = {key: 1.0 / (k + 2) for k, key in enumerate(keys)}
-        table = JointProbabilityTable(party_settings, party_outcomes, entries)
+        table = JointProbabilityTable(party_settings, party_outcomes, list(entries.values()))
         got_keys, strategies, a, b = _constraint_system(table)
         assert list(got_keys) == keys
         assert strategies == hw.strategies_for_table(table)
@@ -201,7 +201,8 @@ class TestCertifyBipartite:
             for (choice, (o1, o2)), p in table.entries.items()
         }
         permuted = JointProbabilityTable(
-            table.party_settings, table.party_outcomes, entries
+            table.party_settings, table.party_outcomes,
+            [entries[key] for key in table.ordered_keys()],
         )
         cert = hw.certify(permuted)
         assert not cert.feasible

@@ -82,6 +82,15 @@ class TestSelectBranch:
             scores.append(b.weight**2 * best)
         assert hw.select_branch(branches) == int(np.argmax(scores))
 
+    def test_equal_scores_keep_first_branch(self, state_08_02):
+        # same weight and residual: the scores are bit-equal, and the strict
+        # ">" keeps the first branch
+        q = 0.5**0.5
+        branches = tuple(
+            hw.PeelBranch(q, state_08_02, np.eye(2, dtype=complex)[k]) for k in range(2)
+        )
+        assert hw.select_branch(branches) == 0
+
 
 class TestTObservable:
     def test_labels_and_eigenvalues(self, tripartite_example):

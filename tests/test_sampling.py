@@ -84,7 +84,9 @@ def sampling_cases(draw):
             weights[-1] = 1.0
         total = sum(w for w in weights if w > 0.0)
         entries.update({(pair, o): w / total for o, w in zip(outcomes, weights)})
-    table = hw.JointProbabilityTable((("X1", "Y1"), ("X2", "Y2")), ((1, -1, 0),) * 2, entries)
+    party_settings = (("X1", "Y1"), ("X2", "Y2"))
+    probs = [entries[(pair, o)] for pair in itertools.product(*party_settings) for o in outcomes]
+    table = hw.JointProbabilityTable(party_settings, ((1, -1, 0),) * 2, probs)
     schedule = draw(st.lists(st.sampled_from(DEFAULT_SCHEDULE), min_size=1, max_size=7))
     return table, draw(st.integers(1, 300)), draw(st.integers(-(2**64), 2**65)), schedule
 
@@ -177,7 +179,9 @@ class TestSample:
         row = rows[case] + [0.0] * (9 - len(rows[case]))
         for outcomes, p in zip(table.outcome_tuples(), row):
             entries[(("X1", "X2"), outcomes)] = p
-        edited = hw.JointProbabilityTable(table.party_settings, table.party_outcomes, entries)
+        edited = hw.JointProbabilityTable(
+            table.party_settings, table.party_outcomes, [entries[k] for k in table.ordered_keys()]
+        )
         (record,) = sample_from_table(edited, 1, 1)
         assert (record.outcome1, record.outcome2) == expected
 
