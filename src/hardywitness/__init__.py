@@ -23,6 +23,7 @@ from .errors import (
 )
 from .hardy import (
     FLAGGED_CONDITION,
+    HARDY_MAX,
     ZERO_CONDITIONS,
     HardyCondition,
     HardyConstruction,

@@ -33,6 +33,10 @@ DEFAULT_ZERO_TOL = 1e-10
 NEGATIVE_ENTRY_TOL = -1e-10
 # Measured and closed-form flagged probabilities must agree this well.
 CLOSED_FORM_TOL = 1e-9
+# Supremum of hardy_probability(p1, p2) over p1^2 + p2^2 <= 1: the two-qubit
+# maximum ((sqrt(5) - 1) / 2)^5.  The closed form is homogeneous of degree 2,
+# so hardy_probability(p1, p2) <= HARDY_MAX * (p1^2 + p2^2) up to rounding.
+HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
 
 
 def hardy_probability(p1: float, p2: float) -> float:

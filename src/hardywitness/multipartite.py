@@ -14,9 +14,24 @@ by its Schmidt weights (``distinct_weight_pairs`` and ``hardy_probability``,
 the same float the full report's closed form gives), and one full
 ``make_witness_report`` is built, for the winning leaf.  Within one call each
 residual is peeled once per (path, target) prefix, so orders that share a
-prefix share its peels.  For a generic 5-qubit state the exhaustive search
-makes 285 peel calls (5 + 40 + 240) instead of 420 and one report instead of
-480; the default order makes 7 peel calls and one report instead of 8.
+prefix share its peels.
+
+The search is also a branch-and-bound (Land & Doig, 1960).  The closed form
+is homogeneous of degree 2, so a leaf never scores more than ``HARDY_MAX``
+(the two-qubit maximum) times its weights' squared sum, which is at most 1.
+The marked q^2 below a branch are at most 1 too, so a branch of weight q
+scores at most q^2 * HARDY_MAX.  A branch whose cap, widened by
+:data:`BOUND_SLACK`, cannot beat an earlier sibling, or whose marked-weight
+prefix times that cap cannot beat the best order already finished, is
+skipped unvisited.  A skipped branch could at best tie, and ties keep the
+first result, so the answer is the unpruned search's, bit for bit.  For a
+generic 5-qubit state the exhaustive search makes about 90 peel calls
+instead of 285 (and 420 when every order peeled afresh) and one report
+instead of 480; the default order makes 7 peel calls and one report.
+
+The joint table's entries share their projector chains: each prefix of
+(setting, outcome) choices is projected once per table, so the 288 entries
+of a 5-qubit table take 254 local projections instead of 864.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from .hardy import (
     DEFAULT_EPS_DEG,
     DEFAULT_ZERO_TOL,
     FLAGGED_CONDITION,
+    HARDY_MAX,
     ZERO_CONDITIONS,
     JointProbabilityTable,
     Observable,
@@ -48,6 +64,10 @@ from .states import (
 )
 
 COMBINED_TOL = 1e-9
+# Widens the branch cap q^2 * HARDY_MAX of the search's bound to cover
+# rounding: marked q^2 multiplied top-down against bottom-up, and weights
+# whose squares sum to slightly more than 1.
+BOUND_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,7 +140,7 @@ def select_branch(
     branch qualifies.
     """
     labels = tuple(range(len(branches[0].residual.dims))) if branches else ()
-    best = _best_branch(branches, labels, None, eps_deg, {}, ())
+    best = _best_branch(branches, labels, None, eps_deg, {}, (), 1.0, -1.0)
     return None if best is None else best[0]
 
 
@@ -131,20 +151,36 @@ def _best_branch(
     eps_deg: float,
     peels: dict,
     path: tuple[int, ...],
+    prefix: float,
+    floor: float,
 ):
     """(index, branch, recursion result) of the best usable branch, or None.
 
     Scores are weight^2 x downstream combined probability; the strict ``>``
     keeps the first of equal scores.  Branch ``k`` continues ``path`` with
     ``k`` (see :func:`_recurse`).
+
+    Branch ``k`` is skipped unvisited when its cap, ``q_k^2 * HARDY_MAX``
+    widened by :data:`BOUND_SLACK`, is at most the best score of an earlier
+    branch here, or when ``prefix`` (the product of the marked q^2 above this
+    node) times the cap is at most ``floor`` (the best combined probability of
+    the orders already finished).  The cap bounds the branch's score, so a
+    skipped branch could at best tie the one kept, and the strict ``>`` never
+    lets a tie replace it: the pruned search returns what the full one does.
     """
     best = None
     best_score = -1.0
     for k, br in enumerate(branches):
-        sub = _recurse(br.residual, labels, order, eps_deg, peels, path + (k,))
+        q_sq = br.weight * br.weight
+        cap = q_sq * HARDY_MAX * BOUND_SLACK
+        if cap <= best_score or prefix * cap <= floor:
+            continue
+        sub = _recurse(
+            br.residual, labels, order, eps_deg, peels, path + (k,), prefix * q_sq, floor
+        )
         if sub is None:
             continue
-        score = br.weight * br.weight * sub[3]
+        score = q_sq * sub[3]
         if score > best_score:
             best = (k, br, sub)
             best_score = score
@@ -157,7 +193,9 @@ def _recurse(
     order: tuple[int, ...] | None,
     eps_deg: float,
     peels: dict,
-    path: tuple[int, ...] = (),
+    path: tuple[int, ...],
+    prefix: float,
+    floor: float,
 ):
     """Return (steps, leaf_state, q_product, combined) or None.
 
@@ -169,6 +207,9 @@ def _recurse(
     is built here.  ``path`` lists the (target, branch index) choices that
     led from the searched state to ``v``; with the next target it keys
     ``peels``, so orders sharing a prefix peel each residual once.
+    ``prefix`` and ``floor`` bound the search (see :func:`_best_branch`): a
+    result scoring at most ``floor / prefix`` may come back worse than the
+    full search's, or as None, but such a result never wins.
     """
     if len(labels) == 2:
         d = schmidt_decompose(v, Bipartition((0,), (1,)))
@@ -185,7 +226,9 @@ def _recurse(
     branches = peels.get(key)
     if branches is None:
         branches = peels[key] = peel(v, position)
-    best = _best_branch(branches, rest_labels, rest_order, eps_deg, peels, key)
+    best = _best_branch(
+        branches, rest_labels, rest_order, eps_deg, peels, key, prefix, floor
+    )
     if best is None:
         return None
     k, br, (sub_steps, leaf, sub_qprod, sub_combined) = best
@@ -232,7 +275,7 @@ def _single_subsystem_split(n: int, subsystem: int) -> Bipartition:
 
 
 def _entry_probability(
-    v: StateVector, witness: MultipartiteWitness, settings, outcomes
+    v: StateVector, witness: MultipartiteWitness, settings, outcomes, memo: dict
 ) -> float:
     """Probability of one joint outcome of the final pair and the peeled parties.
 
@@ -241,6 +284,11 @@ def _entry_probability(
     orthogonal complement of the observable's marked vectors.  Projectors on
     distinct subsystems commute, so the chain rule over normalized residuals
     applies.
+
+    ``memo`` maps a chain prefix ``(settings[:i + 1], outcomes[:i + 1])`` to
+    its (running total, residual), so entries that share a prefix project it
+    once.  Each entry still gets the float operations of its own chain, in
+    the same order.
     """
     construction = witness.final_report.construction
     observables = [construction.observable(label) for label in settings[:2]]
@@ -249,13 +297,19 @@ def _entry_probability(
     n = len(v.dims)
     total = 1.0
     current: StateVector | None = v
-    for subsystem, obs, outcome in zip(subsystems, observables, outcomes):
-        split = _single_subsystem_split(n, subsystem)
-        if outcome == 0:
-            prob, current = apply_local_complement(current, split, 1, obs.marked_vectors())
+    for i, (subsystem, obs, outcome) in enumerate(zip(subsystems, observables, outcomes)):
+        key = (settings[: i + 1], outcomes[: i + 1])
+        hit = memo.get(key)
+        if hit is not None:
+            total, current = hit
         else:
-            prob, current = apply_local_projector(current, split, 1, obs.vector(outcome))
-        total *= prob
+            split = _single_subsystem_split(n, subsystem)
+            if outcome == 0:
+                prob, current = apply_local_complement(current, split, 1, obs.marked_vectors())
+            else:
+                prob, current = apply_local_projector(current, split, 1, obs.vector(outcome))
+            total *= prob
+            memo[key] = (total, current)
         if current is None:
             break
     return total
@@ -268,9 +322,10 @@ def _evaluate_conditions(
     t_settings = tuple(s.observable.label for s in witness.steps)
     t_outcomes = tuple(s.marked_eigenvalue for s in witness.steps)
     t_suffix = ", ".join(f"{s}={o}" for s, o in zip(t_settings, t_outcomes))
+    memo: dict = {}
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
         measured = _entry_probability(
-            v, witness, cond.settings + t_settings, cond.outcomes + t_outcomes
+            v, witness, cond.settings + t_settings, cond.outcomes + t_outcomes, memo
         )
         base = cond.label[:-1]  # strip ")"
         label = f"{base}, {t_suffix})"
@@ -301,7 +356,8 @@ def multipartite_witness(
 
     By default subsystems are peeled highest index first.  ``peel_order``
     overrides the default with explicit original indices (n - 2 of them);
-    ``exhaustive`` tries every peel order and keeps the most probable one.
+    ``exhaustive`` tries every peel order and keeps the most probable one; it
+    cannot be combined with ``peel_order``.
     Not-applicable verdicts carry no claim that the state admits a local
     model; they only mean this construction found no usable branch.
 
@@ -317,6 +373,8 @@ def multipartite_witness(
         raise ValueError("multipartite reduction needs at least three subsystems")
     labels = tuple(range(n))
     if exhaustive:
+        if peel_order is not None:
+            raise ValueError("peel_order cannot be combined with exhaustive (every order is tried)")
         orders = list(itertools.permutations(labels, n - 2))
     elif peel_order is not None:
         order = tuple(int(k) for k in peel_order)
@@ -331,7 +389,8 @@ def multipartite_witness(
     best_combined = -1.0
     peels: dict = {}
     for order in orders:
-        result = _recurse(v, labels, order, eps_deg, peels)
+        # the floor is the best finished order, never a partial one
+        result = _recurse(v, labels, order, eps_deg, peels, (), 1.0, best_combined)
         if result is not None and result[3] > best_combined:
             best = result
             best_combined = result[3]
@@ -378,8 +437,9 @@ def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointPro
         if len(step.vectors) < v.dims[step.subsystem]:
             outcomes += (0,)
         party_outcomes.append(outcomes)
+    memo: dict = {}
     probs = [
-        _entry_probability(v, witness, choice, outcomes)
+        _entry_probability(v, witness, choice, outcomes, memo)
         for choice in itertools.product(*party_settings)
         for outcomes in itertools.product(*party_outcomes)
     ]

@@ -160,6 +160,15 @@ class TestCertifyCommand:
         code = main(["certify", "--state", tri_file, "--mode", "multipartite"])
         assert code == 3
 
+    def test_multipartite_peel_order_with_exhaustive_is_usage_error(self, tri_file, capsys):
+        for command in ("witness", "certify"):
+            code = main([command, "--state", tri_file, "--mode", "multipartite",
+                         "--peel-order", "3", "--exhaustive-orders"])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "cannot be combined" in captured.err
+
     def test_multipartite_not_applicable_machine(self, tmp_path, capsys):
         path = tmp_path / "ghz.json"
         hw.dump_state(hw.ghz_state(3), path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,6 +16,28 @@ from conftest import random_state
 SPLIT = hw.Bipartition((0,), (1,))
 
 positive_weight = st.floats(min_value=1e-3, max_value=1.0)
+
+
+def _inside_unit_disc(pair):
+    return pair[0] * pair[0] + pair[1] * pair[1] <= 1.0
+
+
+_bound_weight = st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0))
+# at most 1/sqrt(2), so a pair of nearly equal weights stays inside the disc
+_near_pair_weight = st.floats(min_value=1e-12, max_value=2**-0.5)
+# (p1, p2) with p1, p2 >= 0, p1^2 + p2^2 <= 1 and not both zero: generic
+# pairs, pairs on the unit circle (where the maximum lies), pairs a relative
+# 1e-6 apart, and pairs within eps_deg of each other
+bound_pairs = st.one_of(
+    st.floats(min_value=0.0, max_value=math.pi / 2).map(lambda a: (math.cos(a), math.sin(a))),
+    st.tuples(_bound_weight, _bound_weight).filter(lambda p: max(p) > 0),
+    st.tuples(_near_pair_weight, st.floats(min_value=-1e-6, max_value=1e-6)).map(
+        lambda t: (t[0], t[0] * (1.0 + t[1]))
+    ),
+    st.tuples(_near_pair_weight, st.floats(min_value=0.0, max_value=hw.hardy.DEFAULT_EPS_DEG)).map(
+        lambda t: (t[0], t[0] + t[1])
+    ),
+).filter(_inside_unit_disc)
 
 
 class TestClosedForm:
@@ -46,6 +68,18 @@ class TestClosedForm:
         assert abs(value - analytic) < 1e-10
         s = math.sqrt(t * (1 - t))
         assert abs(s - (3 - math.sqrt(5.0)) / 2.0) < 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(bound_pairs)
+    @example((0.8226483631696155**0.5, (1 - 0.8226483631696155) ** 0.5))
+    def test_homogeneous_bound(self, pair):
+        # the exhaustive multipartite search prunes with this bound
+        p1, p2 = pair
+        bound = hw.HARDY_MAX * (p1 * p1 + p2 * p2) * (1 + 1e-12)
+        assert hw.hardy_probability(p1, p2) <= bound
+
+    def test_bound_constant_is_qubit_maximum(self):
+        assert abs(hw.HARDY_MAX - hw.max_hardy_probability_qubit()[1]) <= 1e-15
 
     def test_grid_must_be_reasonable(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -184,6 +186,12 @@ class TestMultipartiteWitness:
             hw.multipartite_witness(tripartite_example, peel_order=(0, 1))
         with pytest.raises(ValueError):
             hw.multipartite_witness(tripartite_example, peel_order=(5,))
+
+    def test_peel_order_with_exhaustive_rejected(self, tripartite_example):
+        # an invalid order too: it used to be ignored, not validated
+        for order in [(2,), (7,)]:
+            with pytest.raises(ValueError, match="cannot be combined"):
+                hw.multipartite_witness(tripartite_example, peel_order=order, exhaustive=True)
 
     def test_combined_never_exceeds_bipartite_value(self):
         rng = np.random.default_rng(606)
@@ -430,9 +438,162 @@ class TestSearchWorkCounts:
     def test_exhaustive_peels_each_prefix_once(self, counts, qubits5):
         w = hw.multipartite_witness(qubits5, exhaustive=True)
         assert w.applicable
-        assert counts == {"peel": 5 + 40 + 240, "report": 1}
+        assert counts == {"peel": 89, "report": 1}
 
     def test_default_order(self, counts, qubits5):
         w = hw.multipartite_witness(qubits5)
         assert w.applicable
         assert counts == {"peel": 1 + 2 + 4, "report": 1}
+
+
+# --- the pruned exhaustive search against the unpruned one, at n = 6 ---
+
+
+def _unpruned_best_branch(branches, labels, order, eps_deg, peels, path):
+    """Branch selection of the search without its bound: every branch recurses."""
+    best = None
+    best_score = -1.0
+    for k, br in enumerate(branches):
+        sub = _unpruned_recurse(br.residual, labels, order, eps_deg, peels, path + (k,))
+        if sub is None:
+            continue
+        score = br.weight * br.weight * sub[3]
+        if score > best_score:
+            best = (k, br, sub)
+            best_score = score
+    return best
+
+
+def _unpruned_recurse(v, labels, order, eps_deg, peels, path=()):
+    """The search's recursion without its bound, peeling each prefix once."""
+    if len(labels) == 2:
+        d = hw.schmidt_decompose(v, LEAF_SPLIT)
+        pairs = hw.distinct_weight_pairs(d, eps_deg)
+        if not pairs:
+            return None
+        i, j = pairs[0]
+        return (), v, 1.0, hw.hardy_probability(float(d.weights[i]), float(d.weights[j]))
+    target = order[0]
+    position = labels.index(target)
+    rest_labels = tuple(l for l in labels if l != target)
+    key = path + (target,)
+    branches = peels.get(key)
+    if branches is None:
+        branches = peels[key] = hw.peel(v, position)
+    best = _unpruned_best_branch(branches, rest_labels, order[1:], eps_deg, peels, key)
+    if best is None:
+        return None
+    k, br, (sub_steps, leaf, sub_qprod, sub_combined) = best
+    step = hw.PeelStep(
+        subsystem=target,
+        weights=tuple(b.weight for b in branches),
+        vectors=tuple(b.particle_vector for b in branches),
+        marked=k,
+        marked_eigenvalue=k + 1,
+        observable=hw.build_t_observable(branches, target),
+    )
+    q_sq = br.weight * br.weight
+    return (step,) + sub_steps, leaf, q_sq * sub_qprod, q_sq * sub_combined
+
+
+def _assert_bit_equal(a, b, where="value"):
+    """Recursive equality of dataclasses, arrays, containers and floats, bit for bit."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_bit_equal(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape, where
+        assert a.tobytes() == b.tobytes(), where
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            _assert_bit_equal(x, y, f"{where}[{k}]")
+    elif isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b), where
+    else:
+        assert a == b, where
+
+
+class TestPrunedSearchMatchesUnpruned:
+    def test_six_qubits_exhaustive(self):
+        v = random_state(np.random.default_rng(66), (2,) * 6)
+        labels = tuple(range(6))
+        best, best_combined, peels = None, -1.0, {}
+        for order in itertools.permutations(labels, 4):
+            result = _unpruned_recurse(v, labels, order, hw.hardy.DEFAULT_EPS_DEG, peels)
+            if result is not None and result[3] > best_combined:
+                best, best_combined = result, result[3]
+        steps, leaf, q_product, combined = best
+        peeled = {s.subsystem for s in steps}
+
+        w = hw.multipartite_witness(v, exhaustive=True)
+        assert w.applicable
+        _assert_bit_equal(w.steps, steps, "steps")
+        assert [s.marked for s in w.steps] == [s.marked for s in steps]
+        _assert_bit_equal(w.q_product, q_product, "q_product")
+        _assert_bit_equal(w.combined_probability, combined, "combined_probability")
+        assert w.final_subsystems == tuple(k for k in labels if k not in peeled)
+        _assert_bit_equal(
+            w.final_report, hw.make_witness_report(leaf, LEAF_SPLIT), "final_report"
+        )
+
+
+# --- the table's shared projection chain against one chain per entry ---
+
+
+def _chain_probability(v, w, settings, outcomes):
+    """One entry's projector chain from the searched state, sharing nothing."""
+    construction = w.final_report.construction
+    observables = [construction.observable(label) for label in settings[:2]]
+    observables += [step.observable for step in w.steps]
+    subsystems = w.final_subsystems + tuple(s.subsystem for s in w.steps)
+    n = len(v.dims)
+    total, current = 1.0, v
+    for subsystem, obs, outcome in zip(subsystems, observables, outcomes):
+        split = hw.Bipartition((subsystem,), tuple(k for k in range(n) if k != subsystem))
+        if outcome == 0:
+            prob, current = hw.apply_local_complement(current, split, 1, obs.marked_vectors())
+        else:
+            prob, current = hw.apply_local_projector(current, split, 1, obs.vector(outcome))
+        total *= prob
+        if current is None:
+            break
+    return total
+
+
+class TestTableSharedChain:
+    @pytest.fixture()
+    def qubits5(self):
+        v = random_state(np.random.default_rng(77), (2,) * 5)
+        return v, hw.multipartite_witness(v)
+
+    def _assert_matches_per_entry(self, v, w):
+        table = hw.multipartite_table(v, w)
+        expected = [_chain_probability(v, w, *key) for key in table.ordered_keys()]
+        assert np.array_equal(table.probs, np.array(expected).reshape(table.probs.shape))
+
+    def test_tripartite_example(self, tripartite_example):
+        v = tripartite_example
+        self._assert_matches_per_entry(v, hw.multipartite_witness(v))
+
+    def test_five_qubits(self, qubits5):
+        self._assert_matches_per_entry(*qubits5)
+
+    def test_each_prefix_projected_once(self, monkeypatch, qubits5):
+        from hardywitness import multipartite as mp
+
+        calls = {"n": 0}
+        for name in ("apply_local_projector", "apply_local_complement"):
+            def counted(*args, _fn=getattr(mp, name), **kwargs):
+                calls["n"] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mp, name, counted)
+        table = hw.multipartite_table(*qubits5)
+        assert table.probs.size == 288
+        # the distinct chain prefixes are 6 + 24 + 32 + 64 + 128: a qubit's
+        # outcome 0 (the complement of both of its vectors) has probability 0
+        # and ends the chain after the first or second party.  One chain per
+        # entry takes 864 projections.
+        assert calls["n"] == 254
