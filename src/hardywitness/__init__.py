@@ -43,10 +43,8 @@ from .hardy import (
 from .lhv import (
     ContradictionTrace,
     DeterministicStrategy,
-    HardyConditionSet,
     LhvCertificate,
     certify,
-    conditions_from_report,
     enumerate_strategies,
     idealized_table,
     strategies_for_table,
@@ -60,7 +58,6 @@ from .multipartite import (
     multipartite_table,
     multipartite_witness,
     peel,
-    select_branch,
 )
 from .sampling import (
     FrequencyReport,

@@ -12,21 +12,11 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    BadPartition,
-    DegeneratePair,
-    DimensionMismatch,
-    NonPositiveWeight,
-    NumericalFailure,
-    ParseError,
-    TooLarge,
-    ZeroVector,
-)
+from .errors import HardyWitnessError, NumericalFailure
 from .hardy import (
     DEFAULT_EPS_DEG,
     DEFAULT_ZERO_TOL,
     FLAGGED_CONDITION,
-    ZERO_CONDITIONS,
     JointProbabilityTable,
     WitnessReport,
     build_construction,
@@ -36,12 +26,7 @@ from .hardy import (
     make_witness_report,
     max_hardy_probability_qubit,
 )
-from .lhv import (
-    HardyConditionSet,
-    LhvCertificate,
-    certify,
-    idealized_table,
-)
+from .lhv import LhvCertificate, certify, idealized_table
 from .multipartite import MultipartiteWitness, multipartite_table, multipartite_witness
 from .sampling import DEFAULT_SCHEDULE, analyze, export_csv, sample_from_table
 from .schmidt import schmidt_decompose
@@ -160,22 +145,25 @@ def build_parser() -> argparse.ArgumentParser:
             required=needs_split,
             help="bipartition of 1-based subsystem indices, e.g. '1,2|3'",
         )
+        p.add_argument("--eps-deg", type=float, default=DEFAULT_EPS_DEG,
+                       help="weights closer than this count as equal")
+        p.add_argument("--format", choices=("human", "machine"), default="human")
+
+    def construction_flags(p):
         p.add_argument(
             "--pair",
             default="auto",
             help="Schmidt weight pair '0,1' (0-based) or 'auto' (default)",
         )
-        p.add_argument("--eps-deg", type=float, default=DEFAULT_EPS_DEG,
-                       help="weights closer than this count as equal")
         p.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL,
                        help="threshold for the five zero conditions")
-        p.add_argument("--format", choices=("human", "machine"), default="human")
 
     p = sub.add_parser("schmidt", help="Schmidt weights across a bipartition")
     common(p)
 
     p = sub.add_parser("witness", help="build the test and report its conditions")
     common(p, needs_split=False)
+    construction_flags(p)
     p.add_argument("--mode", choices=("bipartite", "multipartite"), default="bipartite")
     p.add_argument("--peel-order", default=None,
                    help="multipartite: 1-based subsystems to peel, e.g. '3' or '4,3'")
@@ -184,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="decide local-model feasibility of the table")
     common(p, needs_split=False)
+    construction_flags(p)
     p.add_argument("--mode", choices=("bipartite", "multipartite"), default="bipartite")
     p.add_argument("--idealized", action="store_true",
                    help="snap the five zero-condition entries to exact 0 first")
@@ -194,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite-shot simulation of the test")
     common(p)
+    construction_flags(p)
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--export", default=None, help="write shot records to this CSV path")
@@ -498,12 +488,7 @@ def cmd_certify(args) -> int:
         )
         table = joint_table(v, construction)
         if args.idealized:
-            conditions = HardyConditionSet(
-                ZERO_CONDITIONS,
-                FLAGGED_CONDITION,
-                table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes),
-            )
-            table = idealized_table(table, conditions)
+            table = idealized_table(table)
         cert = certify(table)
     tree = {
         "command": "certify",
@@ -649,21 +634,12 @@ def main(argv=None) -> int:
     try:
         _require_positive(args)
         return HANDLERS[args.command](args)
-    except (
-        ParseError,
-        BadPartition,
-        DegeneratePair,
-        DimensionMismatch,
-        NonPositiveWeight,
-        TooLarge,
-        ZeroVector,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (HardyWitnessError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, TooLarge
-from .hardy import (
-    FLAGGED_CONDITION,
-    ZERO_CONDITIONS,
-    HardyCondition,
-    JointProbabilityTable,
-    WitnessReport,
-)
+from .hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, JointProbabilityTable
 from .simplex import DEFAULT_FEAS_TOL, solve_equality_feasibility
 
 STRATEGY_CAP = 10**6
@@ -164,27 +158,10 @@ def certify(table: JointProbabilityTable, *, feas_tol: float = DEFAULT_FEAS_TOL)
     )
 
 
-@dataclass(frozen=True)
-class HardyConditionSet:
-    """The five zero conditions plus the flagged requirement of one test."""
-
-    zero_conditions: tuple[HardyCondition, ...]
-    flagged: HardyCondition
-    flagged_value: float
-
-
-def conditions_from_report(report: WitnessReport) -> HardyConditionSet:
-    if not report.applicable:
-        raise ValueError("report is not applicable; there are no conditions to check")
-    return HardyConditionSet(ZERO_CONDITIONS, FLAGGED_CONDITION, report.hardy_measured)
-
-
-def idealized_table(
-    table: JointProbabilityTable, conditions: HardyConditionSet
-) -> JointProbabilityTable:
-    """Copy of the table with the designated zero entries snapped to exact 0."""
+def idealized_table(table: JointProbabilityTable) -> JointProbabilityTable:
+    """Copy of the table with the five zero-condition entries snapped to exact 0."""
     probs = table.probs.copy()
-    for cond in conditions.zero_conditions:
+    for cond in ZERO_CONDITIONS:
         probs[table.index(cond.settings, cond.outcomes)] = 0.0
     return JointProbabilityTable(table.party_settings, table.party_outcomes, probs)
 
@@ -214,10 +191,11 @@ class ContradictionTrace:
 
 
 def verify_no_deterministic_model(
-    conditions: HardyConditionSet, *, value_tol: float = 1e-12
+    flagged_value: float, *, value_tol: float = 1e-12
 ) -> ContradictionTrace:
-    """Check every two-party deterministic strategy against the conditions.
+    """Check every two-party deterministic strategy against the Hardy conditions.
 
+    ``flagged_value`` is the probability the table gives the flagged outcome.
     Each strategy assigning +1 to both flagged settings is reported together
     with the zero condition it violates; strategies compatible with all five
     zero conditions never produce the flagged outcome, so a required positive
@@ -236,13 +214,13 @@ def verify_no_deterministic_model(
     for strategy in strategies:
         violated = tuple(
             c.label
-            for c in conditions.zero_conditions
+            for c in ZERO_CONDITIONS
             if outcome_of(strategy, c.settings[0]) == c.outcomes[0]
             and outcome_of(strategy, c.settings[1]) == c.outcomes[1]
         )
         targets = (
-            outcome_of(strategy, conditions.flagged.settings[0]) == conditions.flagged.outcomes[0]
-            and outcome_of(strategy, conditions.flagged.settings[1]) == conditions.flagged.outcomes[1]
+            outcome_of(strategy, FLAGGED_CONDITION.settings[0]) == FLAGGED_CONDITION.outcomes[0]
+            and outcome_of(strategy, FLAGGED_CONDITION.settings[1]) == FLAGGED_CONDITION.outcomes[1]
         )
         if outcome_of(strategy, "X1") == 1 and outcome_of(strategy, "X2") == 1:
             region = "C"
@@ -255,10 +233,10 @@ def verify_no_deterministic_model(
             if not violated:
                 n_surviving_targeting += 1
         rows.append(StrategyClassification(strategy, targets, violated, region))
-    contradiction = conditions.flagged_value > value_tol and n_surviving_targeting == 0
+    contradiction = flagged_value > value_tol and n_surviving_targeting == 0
     return ContradictionTrace(
         contradiction,
-        conditions.flagged_value,
+        flagged_value,
         tuple(rows),
         n_targeting,
         n_surviving_targeting,

@@ -29,15 +29,17 @@ generic 5-qubit state the exhaustive search makes about 90 peel calls
 instead of 285 (and 420 when every order peeled afresh) and one report
 instead of 480; the default order makes 7 peel calls and one report.
 
-The joint table's entries share their projector chains: each prefix of
-(setting, outcome) choices is projected once per table, so the 288 entries
-of a 5-qubit table take 254 local projections instead of 864.
+Each table (and each witness's condition values) builds its measurement
+chain once: every party's single-subsystem split and its setting-to-observable
+map.  The entries share their projector chains: each prefix of (setting,
+outcome) choices is projected once per table, so the 288 entries of a
+5-qubit table take 254 local projections instead of 864.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,68 +131,10 @@ def build_t_observable(
     return Observable(f"T{subsystem + 1}", subsystem + 1, vectors)
 
 
-def select_branch(
-    branches: tuple[PeelBranch, ...],
-    eps_deg: float = DEFAULT_EPS_DEG,
-) -> int | None:
-    """Index of the usable branch maximizing weight^2 x downstream probability.
-
-    A branch is usable when its residual, after recursing through any further
-    peeling, admits an applicable two-party test.  Returns ``None`` when no
-    branch qualifies.
-    """
-    labels = tuple(range(len(branches[0].residual.dims))) if branches else ()
-    best = _best_branch(branches, labels, None, eps_deg, {}, (), 1.0, -1.0)
-    return None if best is None else best[0]
-
-
-def _best_branch(
-    branches: tuple[PeelBranch, ...],
-    labels: tuple[int, ...],
-    order: tuple[int, ...] | None,
-    eps_deg: float,
-    peels: dict,
-    path: tuple[int, ...],
-    prefix: float,
-    floor: float,
-):
-    """(index, branch, recursion result) of the best usable branch, or None.
-
-    Scores are weight^2 x downstream combined probability; the strict ``>``
-    keeps the first of equal scores.  Branch ``k`` continues ``path`` with
-    ``k`` (see :func:`_recurse`).
-
-    Branch ``k`` is skipped unvisited when its cap, ``q_k^2 * HARDY_MAX``
-    widened by :data:`BOUND_SLACK`, is at most the best score of an earlier
-    branch here, or when ``prefix`` (the product of the marked q^2 above this
-    node) times the cap is at most ``floor`` (the best combined probability of
-    the orders already finished).  The cap bounds the branch's score, so a
-    skipped branch could at best tie the one kept, and the strict ``>`` never
-    lets a tie replace it: the pruned search returns what the full one does.
-    """
-    best = None
-    best_score = -1.0
-    for k, br in enumerate(branches):
-        q_sq = br.weight * br.weight
-        cap = q_sq * HARDY_MAX * BOUND_SLACK
-        if cap <= best_score or prefix * cap <= floor:
-            continue
-        sub = _recurse(
-            br.residual, labels, order, eps_deg, peels, path + (k,), prefix * q_sq, floor
-        )
-        if sub is None:
-            continue
-        score = q_sq * sub[3]
-        if score > best_score:
-            best = (k, br, sub)
-            best_score = score
-    return best
-
-
 def _recurse(
     v: StateVector,
     labels: tuple[int, ...],
-    order: tuple[int, ...] | None,
+    order: tuple[int, ...],
     eps_deg: float,
     peels: dict,
     path: tuple[int, ...],
@@ -200,16 +144,25 @@ def _recurse(
     """Return (steps, leaf_state, q_product, combined) or None.
 
     ``labels`` are the original subsystem indices of ``v``'s factors;
-    ``order`` lists the original indices still to peel (None means default:
-    highest label first).  A two-party leaf is scored by its Schmidt weights
-    alone: ``combined`` carries the same ``hardy_probability`` float that
-    ``make_witness_report`` returns as ``hardy_closed_form``, and no report
-    is built here.  ``path`` lists the (target, branch index) choices that
-    led from the searched state to ``v``; with the next target it keys
-    ``peels``, so orders sharing a prefix peel each residual once.
-    ``prefix`` and ``floor`` bound the search (see :func:`_best_branch`): a
-    result scoring at most ``floor / prefix`` may come back worse than the
-    full search's, or as None, but such a result never wins.
+    ``order`` lists the original indices still to peel.  A two-party leaf is
+    scored by its Schmidt weights alone: ``combined`` carries the same
+    ``hardy_probability`` float that ``make_witness_report`` returns as
+    ``hardy_closed_form``, and no report is built here.  ``path`` lists the
+    (target, branch index) choices that led from the searched state to
+    ``v``; with the next target it keys ``peels``, so orders sharing a prefix
+    peel each residual once.
+
+    A branch scores weight^2 x its downstream combined probability, and the
+    strict ``>`` keeps the first of equal scores.  Branch ``k`` is skipped
+    unvisited when its cap, ``q_k^2 * HARDY_MAX`` widened by
+    :data:`BOUND_SLACK`, is at most the best score of an earlier branch here,
+    or when ``prefix`` (the product of the marked q^2 above this node) times
+    the cap is at most ``floor`` (the best combined probability of the
+    orders already finished).  The cap bounds the branch's score, so a
+    skipped branch could at best tie the one kept, and the strict ``>``
+    never lets a tie replace it.  A result scoring at most ``floor / prefix``
+    may come back worse than the full search's, or as None, but such a
+    result never wins.
     """
     if len(labels) == 2:
         d = schmidt_decompose(v, Bipartition((0,), (1,)))
@@ -218,20 +171,28 @@ def _recurse(
             return None
         i, j = pairs[0]
         return (), v, 1.0, hardy_probability(float(d.weights[i]), float(d.weights[j]))
-    target = max(labels) if order is None else order[0]
-    rest_order = None if order is None else order[1:]
-    position = labels.index(target)
-    rest_labels = tuple(l for l in labels if l != target)
+    target = order[0]
     key = path + (target,)
     branches = peels.get(key)
     if branches is None:
-        branches = peels[key] = peel(v, position)
-    best = _best_branch(
-        branches, rest_labels, rest_order, eps_deg, peels, key, prefix, floor
-    )
+        branches = peels[key] = peel(v, labels.index(target))
+    rest_labels = tuple(l for l in labels if l != target)
+    best = None
+    best_score = -1.0
+    for k, br in enumerate(branches):
+        q_sq = br.weight * br.weight
+        cap = q_sq * HARDY_MAX * BOUND_SLACK
+        if cap <= best_score or prefix * cap <= floor:
+            continue
+        sub = _recurse(
+            br.residual, rest_labels, order[1:], eps_deg, peels, key + (k,), prefix * q_sq, floor
+        )
+        if sub is not None and q_sq * sub[3] > best_score:
+            best = (k, q_sq, sub)
+            best_score = q_sq * sub[3]
     if best is None:
         return None
-    k, br, (sub_steps, leaf, sub_qprod, sub_combined) = best
+    k, q_sq, (sub_steps, leaf, sub_qprod, sub_combined) = best
     step = PeelStep(
         subsystem=target,
         weights=tuple(b.weight for b in branches),
@@ -240,7 +201,6 @@ def _recurse(
         marked_eigenvalue=k + 1,
         observable=build_t_observable(branches, target),
     )
-    q_sq = br.weight * br.weight
     return (step,) + sub_steps, leaf, q_sq * sub_qprod, q_sq * sub_combined
 
 
@@ -268,46 +228,49 @@ class MultipartiteWitness:
     conditions: tuple[MultiConditionValue, ...] = ()
 
 
-def _single_subsystem_split(n: int, subsystem: int) -> Bipartition:
-    return Bipartition(
-        (subsystem,), tuple(k for k in range(n) if k != subsystem)
+def _chain(n: int, construction, final_subsystems, steps) -> tuple:
+    """Each party's single-subsystem split and {setting label: observable} map.
+
+    Parties are ordered as in :func:`multipartite_table`: the final pair's
+    sides 1 and 2, then the peeled subsystems in peel order, each with its
+    single T observable.
+    """
+    parties = [
+        (subsystem, {obs.label: obs for obs in construction.observables if obs.side == side})
+        for side, subsystem in enumerate(final_subsystems, 1)
+    ]
+    parties += [(s.subsystem, {s.observable.label: s.observable}) for s in steps]
+    return tuple(
+        (Bipartition((k,), tuple(j for j in range(n) if j != k)), observables)
+        for k, observables in parties
     )
 
 
-def _entry_probability(
-    v: StateVector, witness: MultipartiteWitness, settings, outcomes, memo: dict
-) -> float:
+def _entry_probability(v: StateVector, chain, settings, outcomes, memo: dict) -> float:
     """Probability of one joint outcome of the final pair and the peeled parties.
 
-    Parties are ordered as in :func:`multipartite_table`; a peeled party's
-    setting is its single T observable.  Outcome 0 projects onto the
-    orthogonal complement of the observable's marked vectors.  Projectors on
-    distinct subsystems commute, so the chain rule over normalized residuals
-    applies.
+    Outcome 0 projects onto the orthogonal complement of the observable's
+    marked vectors.  Projectors on distinct subsystems commute, so the chain
+    rule over normalized residuals applies.
 
     ``memo`` maps a chain prefix ``(settings[:i + 1], outcomes[:i + 1])`` to
     its (running total, residual), so entries that share a prefix project it
     once.  Each entry still gets the float operations of its own chain, in
     the same order.
     """
-    construction = witness.final_report.construction
-    observables = [construction.observable(label) for label in settings[:2]]
-    observables += [step.observable for step in witness.steps]
-    subsystems = witness.final_subsystems + tuple(s.subsystem for s in witness.steps)
-    n = len(v.dims)
     total = 1.0
     current: StateVector | None = v
-    for i, (subsystem, obs, outcome) in enumerate(zip(subsystems, observables, outcomes)):
+    for i, ((split, observables), outcome) in enumerate(zip(chain, outcomes)):
         key = (settings[: i + 1], outcomes[: i + 1])
         hit = memo.get(key)
         if hit is not None:
             total, current = hit
         else:
-            split = _single_subsystem_split(n, subsystem)
+            obs = observables[settings[i]]
             if outcome == 0:
-                prob, current = apply_local_complement(current, split, 1, obs.marked_vectors())
+                prob, current = apply_local_complement(current, split, obs.marked_vectors())
             else:
-                prob, current = apply_local_projector(current, split, 1, obs.vector(outcome))
+                prob, current = apply_local_projector(current, split, obs.vector(outcome))
             total *= prob
             memo[key] = (total, current)
         if current is None:
@@ -316,16 +279,16 @@ def _entry_probability(
 
 
 def _evaluate_conditions(
-    v: StateVector, witness: MultipartiteWitness, zero_tol: float
+    v: StateVector, chain, steps: tuple[PeelStep, ...], combined: float, zero_tol: float
 ) -> tuple[MultiConditionValue, ...]:
     values = []
-    t_settings = tuple(s.observable.label for s in witness.steps)
-    t_outcomes = tuple(s.marked_eigenvalue for s in witness.steps)
+    t_settings = tuple(s.observable.label for s in steps)
+    t_outcomes = tuple(s.marked_eigenvalue for s in steps)
     t_suffix = ", ".join(f"{s}={o}" for s, o in zip(t_settings, t_outcomes))
     memo: dict = {}
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
         measured = _entry_probability(
-            v, witness, cond.settings + t_settings, cond.outcomes + t_outcomes, memo
+            v, chain, cond.settings + t_settings, cond.outcomes + t_outcomes, memo
         )
         base = cond.label[:-1]  # strip ")"
         label = f"{base}, {t_suffix})"
@@ -333,7 +296,7 @@ def _evaluate_conditions(
             ok = measured < zero_tol
             predicted = 0.0
         else:
-            predicted = witness.combined_probability
+            predicted = combined
             ok = abs(measured - predicted) < COMBINED_TOL
         values.append(MultiConditionValue(label, cond.expect_zero, measured, predicted, ok))
         if not ok:
@@ -401,22 +364,21 @@ def multipartite_witness(
             dims=v.dims,
         )
     steps, leaf, q_product, combined = best
-    report = make_witness_report(
-        leaf, Bipartition((0,), (1,)), pair=None, eps_deg=eps_deg
-    )
+    report = make_witness_report(leaf, Bipartition((0,), (1,)), pair=None, eps_deg=eps_deg)
     peeled = {s.subsystem for s in steps}
-    remaining = tuple(k for k in range(n) if k not in peeled)
-    witness = MultipartiteWitness(
+    final = tuple(k for k in range(n) if k not in peeled)
+    chain = _chain(n, report.construction, final, steps)
+    return MultipartiteWitness(
         applicable=True,
         reason=None,
         dims=v.dims,
         steps=steps,
-        final_subsystems=(remaining[0], remaining[1]),
+        final_subsystems=final,
         final_report=report,
         q_product=q_product,
         combined_probability=combined,
+        conditions=_evaluate_conditions(v, chain, steps, combined, zero_tol),
     )
-    return replace(witness, conditions=_evaluate_conditions(v, witness, zero_tol))
 
 
 def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointProbabilityTable:
@@ -429,20 +391,22 @@ def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointPro
     """
     if not witness.applicable:
         raise ValueError("cannot tabulate a non-applicable witness")
-    party_settings: list[tuple[str, ...]] = [("X1", "Y1"), ("X2", "Y2")]
+    chain = _chain(
+        len(v.dims), witness.final_report.construction, witness.final_subsystems, witness.steps
+    )
+    party_settings = tuple(tuple(observables) for _, observables in chain)
     party_outcomes: list[tuple[int, ...]] = [(1, -1, 0), (1, -1, 0)]
     for step in witness.steps:
-        party_settings.append((step.observable.label,))
         outcomes = tuple(range(1, len(step.vectors) + 1))
         if len(step.vectors) < v.dims[step.subsystem]:
             outcomes += (0,)
         party_outcomes.append(outcomes)
     memo: dict = {}
     probs = [
-        _entry_probability(v, witness, choice, outcomes, memo)
+        _entry_probability(v, chain, choice, outcomes, memo)
         for choice in itertools.product(*party_settings)
         for outcomes in itertools.product(*party_outcomes)
     ]
-    table = JointProbabilityTable(tuple(party_settings), tuple(party_outcomes), probs)
+    table = JointProbabilityTable(party_settings, tuple(party_outcomes), probs)
     table.check()
     return table

@@ -119,56 +119,36 @@ def _check_side_vector(u, expected: int) -> np.ndarray:
 
 
 def apply_local_projector(
-    v: StateVector, split: Bipartition, side: int, basis_vector
+    v: StateVector, split: Bipartition, basis_vector
 ) -> tuple[float, StateVector | None]:
-    """Project one side onto a unit vector.
+    """Project side 1 of ``split`` onto a unit vector.
 
     Returns ``(probability, residual)`` where the residual is the normalized
     post-projection state, or ``None`` when the probability is at the noise
-    floor.
+    floor.  To project side 2, pass ``split.swapped()``.
     """
     m = reshape_bipartite(v, split)
-    d1, d2 = m.shape
-    if side == 1:
-        u = _check_side_vector(basis_vector, d1)
-        w = u.conj() @ m  # unnormalized side-2 state given the side-1 outcome
-        prob = float(np.vdot(w, w).real)
-        if prob <= PROJECTION_FLOOR:
-            return prob, None
-        residual = np.outer(u, w) / math.sqrt(prob)
-    elif side == 2:
-        u = _check_side_vector(basis_vector, d2)
-        z = m @ u.conj()
-        prob = float(np.vdot(z, z).real)
-        if prob <= PROJECTION_FLOOR:
-            return prob, None
-        residual = np.outer(z, u) / math.sqrt(prob)
-    else:
-        raise DimensionMismatch(f"side must be 1 or 2, got {side}")
-    return prob, matrix_to_state(residual, split, v.dims)
+    u = _check_side_vector(basis_vector, m.shape[0])
+    w = u.conj() @ m  # unnormalized side-2 state given the side-1 outcome
+    prob = float(np.vdot(w, w).real)
+    if prob <= PROJECTION_FLOOR:
+        return prob, None
+    return prob, matrix_to_state(np.outer(u, w) / math.sqrt(prob), split, v.dims)
 
 
 def apply_local_complement(
-    v: StateVector, split: Bipartition, side: int, basis_vectors
+    v: StateVector, split: Bipartition, basis_vectors
 ) -> tuple[float, StateVector | None]:
-    """Project one side onto the orthogonal complement of a set of unit vectors.
+    """Project side 1 of ``split`` onto the orthogonal complement of unit vectors.
 
     The complement projector is applied implicitly (never materialized), so
     the cost stays linear in the total dimension.
     """
     m = reshape_bipartite(v, split)
-    d1, d2 = m.shape
     residual = m.copy()
-    if side == 1:
-        for u in basis_vectors:
-            u = _check_side_vector(u, d1)
-            residual -= np.outer(u, u.conj() @ m)
-    elif side == 2:
-        for u in basis_vectors:
-            u = _check_side_vector(u, d2)
-            residual -= np.outer(m @ u.conj(), u)
-    else:
-        raise DimensionMismatch(f"side must be 1 or 2, got {side}")
+    for u in basis_vectors:
+        u = _check_side_vector(u, m.shape[0])
+        residual -= np.outer(u, u.conj() @ m)
     prob = float(np.linalg.norm(residual) ** 2)
     if prob <= PROJECTION_FLOOR:
         return prob, None

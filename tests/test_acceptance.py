@@ -91,8 +91,7 @@ def test_criterion_4_lhv_impossibility(witness_suite):
             assert float(np.max(dots)) <= 1e-12
             b = np.array([report.table.entries[k] for k in keys] + [1.0])
             assert float(cert.dual @ b) > 1e-9
-            conditions = hw.conditions_from_report(report)
-            trace = hw.verify_no_deterministic_model(conditions)
+            trace = hw.verify_no_deterministic_model(report.hardy_measured)
             assert trace.contradiction
             assert trace.n_surviving_targeting == 0
         assert time.perf_counter() - started < 10.0

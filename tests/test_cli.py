@@ -62,6 +62,11 @@ class TestSchmidtCommand:
         assert doc["rank"] == 2
         assert doc["usable_pair"] is True
 
+    @pytest.mark.parametrize("flag", [["--pair", "0,1"], ["--zero-tol", "1e-6"]])
+    def test_rejects_flags_it_does_not_read(self, state_file, flag, capsys):
+        assert main(["schmidt", "--state", state_file, "--split", "1|2", *flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_ghz_no_usable_pair(self, tmp_path, capsys):
         path = tmp_path / "ghz.json"
         hw.dump_state(hw.ghz_state(3), path)

@@ -54,7 +54,6 @@ def test_product_states_are_always_feasible():
 
 def test_idealized_agreement_across_suite(witness_suite):
     for _, report in witness_suite[:10]:
-        conditions = hw.conditions_from_report(report)
-        trace = hw.verify_no_deterministic_model(conditions)
-        cert = hw.certify(hw.idealized_table(report.table, conditions))
+        trace = hw.verify_no_deterministic_model(report.hardy_measured)
+        cert = hw.certify(hw.idealized_table(report.table))
         assert trace.contradiction == (not cert.feasible)

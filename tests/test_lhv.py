@@ -127,9 +127,7 @@ class TestPinnedSolves:
     def test_bit_identical(self, name, report_08_02, tripartite_example):
         tables = {
             "hardy_08_02": lambda: report_08_02.table,
-            "hardy_08_02_idealized": lambda: hw.idealized_table(
-                report_08_02.table, hw.conditions_from_report(report_08_02)
-            ),
+            "hardy_08_02_idealized": lambda: hw.idealized_table(report_08_02.table),
             "tripartite_2_45": lambda: hw.multipartite_table(
                 tripartite_example, hw.multipartite_witness(tripartite_example)
             ),
@@ -227,9 +225,7 @@ class TestCertifyMultipartite:
 
 class TestContradictionTrace:
     def test_all_plus_violates_first_condition(self, report_08_02):
-        trace = hw.verify_no_deterministic_model(
-            hw.conditions_from_report(report_08_02)
-        )
+        trace = hw.verify_no_deterministic_model(report_08_02.hardy_measured)
         by_assignment = {r.strategy.assignments: r for r in trace.rows}
         # X1=+1, Y1=+1, X2=+1, Y2=+1
         row = by_assignment[((1, 1), (1, 1))]
@@ -241,9 +237,7 @@ class TestContradictionTrace:
         assert row.region == "B"
 
     def test_every_targeting_strategy_violated(self, report_08_02):
-        trace = hw.verify_no_deterministic_model(
-            hw.conditions_from_report(report_08_02)
-        )
+        trace = hw.verify_no_deterministic_model(report_08_02.hardy_measured)
         assert trace.contradiction
         assert len(trace.rows) == 81
         assert trace.n_targeting == 9
@@ -253,9 +247,7 @@ class TestContradictionTrace:
                 assert row.violated
 
     def test_regions_partition_strategies(self, report_08_02):
-        trace = hw.verify_no_deterministic_model(
-            hw.conditions_from_report(report_08_02)
-        )
+        trace = hw.verify_no_deterministic_model(report_08_02.hardy_measured)
         counts = {"A": 0, "B": 0, "C": 0}
         for row in trace.rows:
             counts[row.region] += 1
@@ -267,21 +259,16 @@ class TestContradictionTrace:
         d = hw.schmidt_decompose(bell, SPLIT)
         con = hw.build_construction(d, (0, 1), allow_degenerate=True)
         table = hw.joint_table(bell, con)
-        conditions = hw.HardyConditionSet(
-            ZERO_CONDITIONS,
-            FLAGGED_CONDITION,
-            table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes),
-        )
-        trace = hw.verify_no_deterministic_model(conditions)
+        flagged_value = table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes)
+        trace = hw.verify_no_deterministic_model(flagged_value)
         assert not trace.contradiction
         assert trace.n_surviving_targeting == 0  # the logic is state-independent
 
 
 class TestIdealizedAgreement:
     def test_agreement_on_applicable_state(self, report_08_02):
-        conditions = hw.conditions_from_report(report_08_02)
-        trace = hw.verify_no_deterministic_model(conditions)
-        ideal = hw.idealized_table(report_08_02.table, conditions)
+        trace = hw.verify_no_deterministic_model(report_08_02.hardy_measured)
+        ideal = hw.idealized_table(report_08_02.table)
         for cond in ZERO_CONDITIONS:
             assert ideal.prob(cond.settings, cond.outcomes) == 0.0
         cert = hw.certify(ideal)
@@ -292,11 +279,7 @@ class TestIdealizedAgreement:
         d = hw.schmidt_decompose(bell, SPLIT)
         con = hw.build_construction(d, (0, 1), allow_degenerate=True)
         table = hw.joint_table(bell, con)
-        conditions = hw.HardyConditionSet(
-            ZERO_CONDITIONS,
-            FLAGGED_CONDITION,
-            table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes),
-        )
-        trace = hw.verify_no_deterministic_model(conditions)
-        cert = hw.certify(hw.idealized_table(table, conditions))
+        flagged_value = table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes)
+        trace = hw.verify_no_deterministic_model(flagged_value)
+        cert = hw.certify(hw.idealized_table(table))
         assert trace.contradiction == (not cert.feasible) == False  # noqa: E712

@@ -55,13 +55,6 @@ class TestPeel:
 
 
 class TestSelectBranch:
-    def test_forced_choice(self, tripartite_example):
-        branches = hw.peel(tripartite_example, 2)
-        assert hw.select_branch(branches) == 0
-
-    def test_ghz_has_no_usable_branch(self):
-        assert hw.select_branch(hw.peel(hw.ghz_state(3), 2)) is None
-
     def test_picks_larger_score(self):
         # equal q^2 = 0.5, different flagged probabilities per branch
         phi_a = np.zeros(9, complex)
@@ -82,16 +75,20 @@ class TestSelectBranch:
             pairs = hw.distinct_weight_pairs(d)
             best = hw.hardy_probability(*d.weights[list(pairs[0])]) if pairs else -1.0
             scores.append(b.weight**2 * best)
-        assert hw.select_branch(branches) == int(np.argmax(scores))
+        assert hw.multipartite_witness(v).steps[0].marked == int(np.argmax(scores))
 
-    def test_equal_scores_keep_first_branch(self, state_08_02):
+    def test_equal_scores_keep_first_branch(self, monkeypatch, state_08_02):
         # same weight and residual: the scores are bit-equal, and the strict
         # ">" keeps the first branch
+        from hardywitness import multipartite as mp
+
+        v = hw.make_state([2, 2, 2], np.kron(state_08_02.amps, [1.0, 1.0]))
         q = 0.5**0.5
         branches = tuple(
             hw.PeelBranch(q, state_08_02, np.eye(2, dtype=complex)[k]) for k in range(2)
         )
-        assert hw.select_branch(branches) == 0
+        monkeypatch.setattr(mp, "peel", lambda *args: branches)
+        assert hw.multipartite_witness(v).steps[0].marked == 0
 
 
 class TestTObservable:
@@ -106,7 +103,7 @@ class TestTObservable:
         obs = hw.build_t_observable(branches, 2)
         split = hw.Bipartition((2,), (0, 1))
         prob, _ = hw.apply_local_projector(
-            tripartite_example, split, 1, obs.vector(1)
+            tripartite_example, split, obs.vector(1)
         )
         assert abs(prob - branches[0].weight ** 2) < 1e-10
 
@@ -117,7 +114,7 @@ class TestTObservable:
         assert len(branches) == 1
         obs = hw.build_t_observable(branches, 2)
         split = hw.Bipartition((2,), (0, 1))
-        prob, _ = hw.apply_local_projector(v, split, 1, obs.vector(1))
+        prob, _ = hw.apply_local_projector(v, split, obs.vector(1))
         assert abs(prob - 1.0) < 1e-12
 
 
@@ -310,7 +307,7 @@ def _oracle_measured(v, steps, final, report, cond):
     total, current = 1.0, v
     for subsystem, project, payload in projections:
         split = hw.Bipartition((subsystem,), tuple(k for k in range(n) if k != subsystem))
-        prob, current = project(current, split, 1, payload)
+        prob, current = project(current, split, payload)
         total *= prob
         if current is None:
             break
@@ -553,9 +550,9 @@ def _chain_probability(v, w, settings, outcomes):
     for subsystem, obs, outcome in zip(subsystems, observables, outcomes):
         split = hw.Bipartition((subsystem,), tuple(k for k in range(n) if k != subsystem))
         if outcome == 0:
-            prob, current = hw.apply_local_complement(current, split, 1, obs.marked_vectors())
+            prob, current = hw.apply_local_complement(current, split, obs.marked_vectors())
         else:
-            prob, current = hw.apply_local_projector(current, split, 1, obs.vector(outcome))
+            prob, current = hw.apply_local_projector(current, split, obs.vector(outcome))
         total *= prob
         if current is None:
             break

@@ -103,25 +103,25 @@ class TestLocalProjector:
 
     def test_eigenstate(self):
         v = hw.basis_state([2, 2], (0, 0))
-        prob, residual = hw.apply_local_projector(v, self.split(), 1, [1, 0])
+        prob, residual = hw.apply_local_projector(v, self.split(), [1, 0])
         assert abs(prob - 1.0) < 1e-14
         assert_allclose(residual.amps, v.amps, atol=1e-15)
 
     def test_orthogonal(self):
         v = hw.basis_state([2, 2], (0, 0))
-        prob, residual = hw.apply_local_projector(v, self.split(), 1, [0, 1])
+        prob, residual = hw.apply_local_projector(v, self.split(), [0, 1])
         assert prob <= 1e-14
         assert residual is None
 
     def test_equal_superposition(self):
         v = hw.make_state([2, 2], [1, 0, 0, 1])
-        prob, residual = hw.apply_local_projector(v, self.split(), 1, [1, 0])
+        prob, residual = hw.apply_local_projector(v, self.split(), [1, 0])
         assert abs(prob - 0.5) < 1e-14
         assert_allclose(residual.amps, hw.basis_state([2, 2], (0, 0)).amps, atol=1e-15)
 
     def test_side2(self):
         v = hw.make_state([2, 2], [1, 0, 0, 1])
-        prob, residual = hw.apply_local_projector(v, self.split(), 2, [0, 1])
+        prob, residual = hw.apply_local_projector(v, self.split().swapped(), [0, 1])
         assert abs(prob - 0.5) < 1e-14
         assert_allclose(residual.amps, hw.basis_state([2, 2], (1, 1)).amps, atol=1e-15)
 
@@ -132,11 +132,13 @@ class TestLocalProjector:
                 split = hw.Bipartition((0, 2), (1,))
             else:
                 split = hw.Bipartition((0,), (1,))
+            if side == 2:
+                split = split.swapped()
             v = random_state(rng, dims)
-            d = hw.reshape_bipartite(v, split).shape[side - 1]
+            d = hw.reshape_bipartite(v, split).shape[0]
             basis = random_unitary(rng, d)
             total = sum(
-                hw.apply_local_projector(v, split, side, basis[:, k])[0]
+                hw.apply_local_projector(v, split, basis[:, k])[0]
                 for k in range(d)
             )
             assert abs(total - 1.0) < 1e-10
@@ -144,9 +146,7 @@ class TestLocalProjector:
     def test_dimension_mismatch(self):
         v = hw.make_state([2, 2], [1, 0, 0, 1])
         with pytest.raises(DimensionMismatch):
-            hw.apply_local_projector(v, self.split(), 1, [1, 0, 0])
-        with pytest.raises(DimensionMismatch):
-            hw.apply_local_projector(v, self.split(), 3, [1, 0])
+            hw.apply_local_projector(v, self.split(), [1, 0, 0])
 
 
 class TestLocalComplement:
@@ -156,7 +156,7 @@ class TestLocalComplement:
         v = random_state(rng, (4, 3))
         u = random_unitary(rng, 4)
         vecs = [u[:, 0], u[:, 1]]
-        prob, residual = hw.apply_local_complement(v, split, 1, vecs)
+        prob, residual = hw.apply_local_complement(v, split, vecs)
         dense = np.eye(4) - sum(np.outer(w, w.conj()) for w in vecs)
         m = hw.reshape_bipartite(v, split)
         expected = dense @ m
@@ -167,7 +167,7 @@ class TestLocalComplement:
     def test_full_span_gives_zero(self):
         v = hw.make_state([2, 2], [1, 1, 1, 1])
         prob, residual = hw.apply_local_complement(
-            v, hw.Bipartition((0,), (1,)), 1, [[1, 0], [0, 1]]
+            v, hw.Bipartition((0,), (1,)), [[1, 0], [0, 1]]
         )
         assert prob <= 1e-14
         assert residual is None
