@@ -66,7 +66,6 @@ from .sampling import (
     analyze,
     export_csv,
     records_to_csv,
-    sample,
     sample_from_table,
     splitmix64,
     uniform_unit,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import HardyWitnessError, NumericalFailure
@@ -108,8 +109,8 @@ def split_display(split: Bipartition) -> str:
     )
 
 
-def parse_pair(spec: str):
-    if spec == "auto":
+def parse_pair(spec: str | None):
+    if spec is None or spec == "auto":
         return None
     parts = spec.split(",")
     if len(parts) != 2:
@@ -149,41 +150,45 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weights closer than this count as equal")
         p.add_argument("--format", choices=("human", "machine"), default="human")
 
-    def construction_flags(p):
+    def pair_flag(p):
         p.add_argument(
             "--pair",
-            default="auto",
+            default=None,
             help="Schmidt weight pair '0,1' (0-based) or 'auto' (default)",
         )
-        p.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL,
-                       help="threshold for the five zero conditions")
+
+    def mode_flags(p):
+        pair_flag(p)
+        p.add_argument(
+            "--zero-tol",
+            type=float,
+            default=None,
+            help=f"threshold for the five zero conditions (default {DEFAULT_ZERO_TOL:g})",
+        )
+        p.add_argument("--mode", choices=("bipartite", "multipartite"), default="bipartite")
+        p.add_argument("--peel-order", default=None,
+                       help="multipartite: 1-based subsystems to peel, e.g. '3' or '4,3'")
+        p.add_argument("--exhaustive-orders", action="store_true",
+                       help="multipartite: try every peel order, keep the best")
 
     p = sub.add_parser("schmidt", help="Schmidt weights across a bipartition")
     common(p)
 
     p = sub.add_parser("witness", help="build the test and report its conditions")
     common(p, needs_split=False)
-    construction_flags(p)
-    p.add_argument("--mode", choices=("bipartite", "multipartite"), default="bipartite")
-    p.add_argument("--peel-order", default=None,
-                   help="multipartite: 1-based subsystems to peel, e.g. '3' or '4,3'")
-    p.add_argument("--exhaustive-orders", action="store_true",
-                   help="multipartite: try every peel order, keep the best")
+    mode_flags(p)
 
     p = sub.add_parser("certify", help="decide local-model feasibility of the table")
     common(p, needs_split=False)
-    construction_flags(p)
-    p.add_argument("--mode", choices=("bipartite", "multipartite"), default="bipartite")
+    mode_flags(p)
     p.add_argument("--idealized", action="store_true",
-                   help="snap the five zero-condition entries to exact 0 first")
+                   help="bipartite: snap the five zero-condition entries to exact 0 first")
     p.add_argument("--allow-degenerate", action="store_true",
-                   help="permit an explicitly chosen equal-weight pair")
-    p.add_argument("--peel-order", default=None)
-    p.add_argument("--exhaustive-orders", action="store_true")
+                   help="bipartite: permit an explicitly chosen equal-weight pair")
 
     p = sub.add_parser("simulate", help="finite-shot simulation of the test")
     common(p)
-    construction_flags(p)
+    pair_flag(p)
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--export", default=None, help="write shot records to this CSV path")
@@ -196,12 +201,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_positive(args) -> None:
-    if getattr(args, "eps_deg", 1.0) <= 0:
-        raise ValueError("--eps-deg must be positive")
-    if getattr(args, "zero_tol", 1.0) <= 0:
-        raise ValueError("--zero-tol must be positive")
+    for name in ("eps_deg", "zero_tol"):
+        x = getattr(args, name, None)
+        if x is not None and not 0 < x < math.inf:
+            raise ValueError(f"--{name.replace('_', '-')} must be finite and positive")
     if getattr(args, "shots", 1) < 1:
         raise ValueError("--shots must be at least 1")
+
+
+# Flags (by argparse destination) that witness and certify read in one mode
+# only.  They default to None or False, so any other value was given.
+MODE_ONLY_FLAGS = {
+    "bipartite": ("split", "pair", "idealized", "allow_degenerate"),
+    "multipartite": ("peel_order", "exhaustive_orders"),
+}
+
+
+def _reject_unread_flags(args) -> None:
+    """Refuse any flag that the chosen command never reads in its mode."""
+    mode = getattr(args, "mode", None)
+    if mode is None:
+        return
+    unread = MODE_ONLY_FLAGS["multipartite" if mode == "bipartite" else "bipartite"]
+    if args.command == "certify" and mode == "bipartite":
+        unread += ("zero_tol",)
+    for name in unread:
+        if getattr(args, name, None) not in (None, False):
+            raise ValueError(
+                f"--{name.replace('_', '-')} does not apply to {args.command} in {mode} mode"
+            )
+    if mode == "bipartite" and args.split is None:
+        raise ValueError("--split is required in bipartite mode")
 
 
 def _split_for(args, v) -> Bipartition:
@@ -366,30 +396,30 @@ def cmd_schmidt(args) -> int:
     return EXIT_OK
 
 
+def _zero_tol(args) -> float:
+    return getattr(args, "zero_tol", None) or DEFAULT_ZERO_TOL
+
+
 def _bipartite_report(args, v) -> WitnessReport:
     split = _split_for(args, v)
     return make_witness_report(
-        v, split, parse_pair(args.pair), eps_deg=args.eps_deg, zero_tol=args.zero_tol
+        v, split, parse_pair(args.pair), eps_deg=args.eps_deg, zero_tol=_zero_tol(args)
     )
 
 
-def _multipartite_args(args):
+def _multipartite_witness(args, v) -> MultipartiteWitness:
     order = None
     if args.peel_order:
         order = tuple(int(t.strip()) - 1 for t in args.peel_order.split(","))
-    return order
+    return multipartite_witness(
+        v, order, exhaustive=args.exhaustive_orders, eps_deg=args.eps_deg, zero_tol=_zero_tol(args)
+    )
 
 
 def cmd_witness(args) -> int:
     v = load_state(args.state)
     if args.mode == "multipartite":
-        w = multipartite_witness(
-            v,
-            _multipartite_args(args),
-            exhaustive=args.exhaustive_orders,
-            eps_deg=args.eps_deg,
-            zero_tol=args.zero_tol,
-        )
+        w = _multipartite_witness(args, v)
         if args.format == "machine":
             _print_machine({"command": "witness", "mode": "multipartite", **multiwitness_tree(w)})
             return EXIT_OK
@@ -412,8 +442,6 @@ def cmd_witness(args) -> int:
             print(f"  {c.label} = {fmt(c.measured)}   {mark}")
         print(f"combined probability: {fmt(w.combined_probability)}")
         return EXIT_OK
-    if args.split is None:
-        raise ValueError("--split is required in bipartite mode")
     report = _bipartite_report(args, v)
     if args.format == "machine":
         _print_machine({"command": "witness", "mode": "bipartite", **witness_tree(report)})
@@ -443,15 +471,7 @@ def cmd_witness(args) -> int:
 def cmd_certify(args) -> int:
     v = load_state(args.state)
     if args.mode == "multipartite":
-        if args.idealized:
-            raise ValueError("--idealized applies to bipartite certification only")
-        w = multipartite_witness(
-            v,
-            _multipartite_args(args),
-            exhaustive=args.exhaustive_orders,
-            eps_deg=args.eps_deg,
-            zero_tol=args.zero_tol,
-        )
+        w = _multipartite_witness(args, v)
         if not w.applicable:
             if args.format == "machine":
                 _print_machine(
@@ -465,8 +485,6 @@ def cmd_certify(args) -> int:
         table = multipartite_table(v, w)
         cert = certify(table)
     else:
-        if args.split is None:
-            raise ValueError("--split is required in bipartite mode")
         split = _split_for(args, v)
         d = schmidt_decompose(v, split)
         pair = parse_pair(args.pair)
@@ -633,6 +651,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _require_positive(args)
+        _reject_unread_flags(args)
         return HANDLERS[args.command](args)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -100,8 +100,8 @@ def distinct_weight_pairs(
     An empty list means the construction does not apply to this state
     (single Schmidt term, or all weights equal within ``eps_deg``).
     """
-    if eps_deg <= 0:
-        raise ValueError("eps_deg must be positive")
+    if not 0 < eps_deg < math.inf:
+        raise ValueError("eps_deg must be finite and positive")
     pairs = [
         (i, j)
         for i in range(d.rank)
@@ -306,15 +306,14 @@ class JointProbabilityTable:
         values = self.probs[self.index(choice)].ravel().tolist()
         return list(zip(self.outcome_tuples(), values))
 
-    def setting_index(self, party: int, label: str) -> int:
-        return self.party_settings[party].index(label)
-
-    def check(self, tol: float = DEFAULT_ZERO_TOL) -> None:
+    def check(self) -> None:
         """Validate entry range, per-choice normalization, and no-signalling.
 
-        Each failure names the check and its worst value.  The comparisons
-        are written so that a NaN entry fails them.
+        Each bound is ``DEFAULT_ZERO_TOL`` (the largest entry may exceed 1 by
+        1e-12).  Each failure names the check and its worst value.  The
+        comparisons are written so that a NaN entry fails them.
         """
+        tol = DEFAULT_ZERO_TOL
         n = self.n_parties
         outcome_axes = tuple(range(n, 2 * n))
         low, high = float(self.probs.min()), float(self.probs.max())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalFailure, TooLarge
 from .hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, JointProbabilityTable
-from .simplex import DEFAULT_FEAS_TOL, solve_equality_feasibility
+from .simplex import solve_equality_feasibility
 
 STRATEGY_CAP = 10**6
 # Strategy-side dual slack allowed on a verified infeasibility certificate.
@@ -28,6 +28,8 @@ DUAL_SLACK_TOL = 1e-12
 MIN_MARGIN = 1e-9
 # A feasible mixture must reproduce every table entry this well.
 MIXTURE_TOL = 1e-8
+# A flagged probability above this counts as positive.
+FLAGGED_VALUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def _constraint_system(table: JointProbabilityTable):
     return keys, strategies, a, b
 
 
-def certify(table: JointProbabilityTable, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LhvCertificate:
+def certify(table: JointProbabilityTable) -> LhvCertificate:
     """Decide whether any local mixture reproduces the table exactly.
 
     The table is certified as measured, tiny entries included.  Both outcomes
@@ -131,7 +133,7 @@ def certify(table: JointProbabilityTable, *, feas_tol: float = DEFAULT_FEAS_TOL)
     physics) broke.
     """
     keys, strategies, a, b = _constraint_system(table)
-    result = solve_equality_feasibility(a, b, feas_tol=feas_tol)
+    result = solve_equality_feasibility(a, b)
     if result.feasible:
         weights = np.asarray(result.x)
         if weights.min() < -1e-12:
@@ -190,9 +192,7 @@ class ContradictionTrace:
     n_surviving_targeting: int
 
 
-def verify_no_deterministic_model(
-    flagged_value: float, *, value_tol: float = 1e-12
-) -> ContradictionTrace:
+def verify_no_deterministic_model(flagged_value: float) -> ContradictionTrace:
     """Check every two-party deterministic strategy against the Hardy conditions.
 
     ``flagged_value`` is the probability the table gives the flagged outcome.
@@ -233,7 +233,7 @@ def verify_no_deterministic_model(
             if not violated:
                 n_surviving_targeting += 1
         rows.append(StrategyClassification(strategy, targets, violated, region))
-    contradiction = flagged_value > value_tol and n_surviving_targeting == 0
+    contradiction = flagged_value > FLAGGED_VALUE_TOL and n_surviving_targeting == 0
     return ContradictionTrace(
         contradiction,
         flagged_value,

@@ -11,15 +11,16 @@ and platforms.
 Shots are drawn, stored, counted and exported as whole arrays.  The
 generator uses only wrapping uint64 arithmetic, so ``uniform_chunk`` gives
 numpy arrays equal bit for bit to the scalar ``uniform_unit``.  Shots are
-drawn ``CHUNK`` counters at a time, and a run is kept as a ``ShotRecords``
-column with one small-integer cell per shot (1 byte per shot for the
-default schedule).  ``analyze`` counts the column with ``np.bincount`` and
-the CSV export writes it, both ``CHUNK`` shots at a time.
+drawn ``CHUNK`` counters at a time, and a run is kept as a ``ShotRecords``:
+one column with one small-integer cell per shot (1 byte per shot for the
+default schedule), its schedule and its outcome pairs.  Shot k is cell k,
+and iterating a run yields one ``ShotRecord`` per shot.  ``analyze``
+counts the column with ``np.bincount`` and the CSV export writes it, both
+``CHUNK`` shots at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,8 @@ from .hardy import (
     FLAGGED_CONDITION,
     ZERO_CONDITIONS,
     HardyCondition,
-    HardyConstruction,
     JointProbabilityTable,
-    joint_table,
 )
-from .states import StateVector
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 MIX_MULT_1 = 0xBF58476D1CE4E5B9
@@ -81,86 +79,45 @@ class ShotRecord:
     outcome2: int
 
 
-def _cell_dtype(n_cells: int) -> np.dtype:
-    return np.min_scalar_type(max(n_cells - 1, 0))
-
-
-class ShotRecords(Sequence):
-    """Shots as one column of cells, read like a list of ``ShotRecord``.
+class ShotRecords:
+    """One run of shots as a column of cells.
 
     Cell ``slot * len(outcome_pairs) + i`` is a shot that used setting pair
-    ``schedule[slot]`` and got ``outcome_pairs[i]``.  Shot numbers are the
-    positions 0, 1, ... unless ``index`` lists them.
+    ``schedule[slot]`` and got ``outcome_pairs[i]``.  Shot k is position k
+    of ``cells``; iterating yields one ``ShotRecord`` per shot, in order.
     """
 
-    def __init__(self, cells: np.ndarray, schedule, outcome_pairs, index=None):
+    def __init__(self, cells: np.ndarray, schedule, outcome_pairs):
         self.cells = cells
         self.schedule = tuple(schedule)
         self.outcome_pairs = tuple(outcome_pairs)
-        self.index = index
         self._fields = [
             (pair[0], pair[1], outcomes[0], outcomes[1])
             for pair in self.schedule
             for outcomes in self.outcome_pairs
         ]
 
-    @classmethod
-    def from_records(cls, records) -> ShotRecords:
-        """Column form of any iterable of ``ShotRecord``s."""
-        records = list(records)
-        slots: dict = {}
-        outcome_index: dict = {}
-        for r in records:
-            slots.setdefault((r.setting1, r.setting2), len(slots))
-            outcome_index.setdefault((r.outcome1, r.outcome2), len(outcome_index))
-        n = len(outcome_index)
-        cells = np.array(
-            [
-                slots[(r.setting1, r.setting2)] * n + outcome_index[(r.outcome1, r.outcome2)]
-                for r in records
-            ],
-            dtype=_cell_dtype(len(slots) * n),
-        )
-        return cls(cells, slots, outcome_index, [r.index for r in records])
-
-    def _shot_numbers(self, start: int, stop: int):
-        return range(start, stop) if self.index is None else self.index[start:stop]
-
     def _chunks(self):
-        """(shot numbers, cells as ints) for every CHUNK shots in order."""
+        """(first shot number, cells as ints) for every CHUNK shots in order."""
         for start in range(0, len(self), CHUNK):
-            stop = min(start + CHUNK, len(self))
-            yield self._shot_numbers(start, stop), self.cells[start:stop].tolist()
+            yield start, self.cells[start : start + CHUNK].tolist()
 
     def __len__(self) -> int:
         return len(self.cells)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        k = range(len(self))[k]
-        return ShotRecord(self._shot_numbers(k, k + 1)[0], *self._fields[int(self.cells[k])])
-
     def __iter__(self):
-        for shots, cells in self._chunks():
-            for k, c in zip(shots, cells):
+        for start, cells in self._chunks():
+            for k, c in enumerate(cells, start):
                 yield ShotRecord(k, *self._fields[c])
 
-    def _labels(self):
-        return self.schedule, self.outcome_pairs, self.index
-
     def __eq__(self, other):
-        if isinstance(other, ShotRecords) and self._labels() == other._labels():
+        if not isinstance(other, ShotRecords):
+            return NotImplemented
+        if (self.schedule, self.outcome_pairs) == (other.schedule, other.outcome_pairs):
             return np.array_equal(self.cells, other.cells)
-        if isinstance(other, (ShotRecords, list)):
-            return list(self) == list(other)
-        return NotImplemented
+        return list(self) == list(other)
 
     __hash__ = None
-
-
-def _columns(records) -> ShotRecords:
-    return records if isinstance(records, ShotRecords) else ShotRecords.from_records(records)
 
 
 def sample_from_table(
@@ -207,7 +164,7 @@ def sample_from_table(
     # u landed beyond the (~1.0) last edge: take the last positive edge
     beyond = [int(np.flatnonzero(cdf > 0.0)[-1]) for cdf in cdfs]
     period = len(schedule)
-    cells = np.empty(shots, dtype=_cell_dtype(period * n_pairs))
+    cells = np.empty(shots, dtype=np.min_scalar_type(period * n_pairs - 1))
     for start in range(0, shots, CHUNK):
         stop = min(start + CHUNK, shots)
         u = uniform_chunk(seed, start, stop)
@@ -217,17 +174,6 @@ def sample_from_table(
             chosen[chosen == n_pairs] = beyond[slot]
             cells[start + j : stop : period] = slot * n_pairs + chosen
     return ShotRecords(cells, schedule, outcome_pairs)
-
-
-def sample(
-    v: StateVector,
-    construction: HardyConstruction,
-    shots: int,
-    seed: int,
-    schedule=None,
-) -> ShotRecords:
-    """Simulate the experiment on ``v`` with the construction's observables."""
-    return sample_from_table(joint_table(v, construction), shots, seed, schedule)
 
 
 @dataclass(frozen=True)
@@ -263,19 +209,14 @@ class FrequencyReport:
         return all(c.passed for c in self.conditions if c.passed is not None)
 
 
-def analyze(
-    records, exact_table: JointProbabilityTable, sigma: float = DEFAULT_SIGMA
-) -> FrequencyReport:
+def analyze(records: ShotRecords, exact_table: JointProbabilityTable) -> FrequencyReport:
     """Compare empirical frequencies against the exact table.
 
     A zero condition passes iff its outcome pair never occurred.  The flagged
     condition passes iff it occurred at least once and its frequency sits
-    within ``sigma`` binomial standard errors of the exact value.  Conditions
+    within ``DEFAULT_SIGMA`` binomial standard errors of the exact value.  Conditions
     whose setting pair received no shots are reported unevaluated.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    records = _columns(records)
     n_pairs = len(records.outcome_pairs)
     n_cells = len(records.schedule) * n_pairs
     # bincount casts its input to intp: one chunk at a time keeps that copy
@@ -310,26 +251,25 @@ def analyze(
             passed = count == 0
         else:
             se = (exact * (1.0 - exact) / n) ** 0.5
-            passed = count > 0 and abs(freq - exact) <= sigma * se
+            passed = count > 0 and abs(freq - exact) <= DEFAULT_SIGMA * se
         verdicts.append(ConditionStats(cond, count, n, freq, exact, passed))
-    return FrequencyReport(len(records), sigma, tuple(cells), tuple(verdicts))
+    return FrequencyReport(len(records), DEFAULT_SIGMA, tuple(cells), tuple(verdicts))
 
 
-def _csv_chunks(records):
+def _csv_chunks(records: ShotRecords):
     """The CSV text in pieces: the header, then one piece per CHUNK shots."""
-    records = _columns(records)
     suffixes = [f",{s1},{s2},{o1},{o2}\n" for s1, s2, o1, o2 in records._fields]
     yield CSV_HEADER + "\n"
-    for shots, cells in records._chunks():
-        yield "".join([f"{k}{suffixes[c]}" for k, c in zip(shots, cells)])
+    for start, cells in records._chunks():
+        yield "".join([f"{k}{suffixes[c]}" for k, c in enumerate(cells, start)])
 
 
-def records_to_csv(records) -> str:
+def records_to_csv(records: ShotRecords) -> str:
     """CSV export: header plus one line per shot, LF line endings."""
     return "".join(_csv_chunks(records))
 
 
-def export_csv(records, path) -> None:
+def export_csv(records: ShotRecords, path) -> None:
     """Write ``records_to_csv(records)`` to ``path``, one chunk at a time."""
     with open(path, "w", newline="") as fh:
         fh.writelines(_csv_chunks(records))

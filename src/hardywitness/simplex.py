@@ -15,8 +15,10 @@ import numpy as np
 
 from .errors import NumericalFailure
 
-DEFAULT_FEAS_TOL = 1e-9
-DEFAULT_PIVOT_TOL = 1e-12
+# Phase-1 optimum at or below this counts as feasible.
+FEAS_TOL = 1e-9
+# Tableau entries and reduced costs within this of zero count as zero.
+PIVOT_TOL = 1e-12
 
 
 @dataclass
@@ -32,8 +34,6 @@ def solve_equality_feasibility(
     a,
     b,
     *,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
     max_iterations: int | None = None,
 ) -> FeasibilityResult:
     """Phase-1 feasibility for A x = b, x >= 0 (dense, double precision)."""
@@ -53,11 +53,11 @@ def solve_equality_feasibility(
         max_iterations = 1000 + 50 * (m + n)
     iterations = 0
     while True:
-        entering_candidates = np.flatnonzero(reduced < -pivot_tol)
+        entering_candidates = np.flatnonzero(reduced < -PIVOT_TOL)
         if entering_candidates.size == 0:
             break
         j = int(entering_candidates[0])  # Bland: lowest eligible index
-        rows = np.flatnonzero(tableau[:, j] > pivot_tol)
+        rows = np.flatnonzero(tableau[:, j] > PIVOT_TOL)
         if rows.size == 0:
             raise NumericalFailure(
                 "phase-1 column with no positive pivot (objective is bounded; "
@@ -87,7 +87,7 @@ def solve_equality_feasibility(
     artificial = basis >= n
     # A Python float sum in row order keeps the value bit-stable.
     infeasibility = float(sum(rhs[artificial].tolist()))
-    if infeasibility <= feas_tol:
+    if infeasibility <= FEAS_TOL:
         x = np.zeros(n)
         x[basis[~artificial]] = rhs[~artificial]
         return FeasibilityResult(True, x, None, infeasibility, iterations)

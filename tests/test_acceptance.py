@@ -154,7 +154,7 @@ def test_criterion_8_sampling_consistency():
         started = time.perf_counter()
         v = hw.make_state([2, 2], [0.8**0.5, 0, 0, 0.2**0.5])
         report = hw.make_witness_report(v, SPLIT)
-        records = hw.sample(v, report.construction, 100000, 42)
+        records = hw.sample_from_table(hw.joint_table(v, report.construction), 100000, 42)
         flagged_hits = 0
         flagged_shots = 0
         zero_hits = 0

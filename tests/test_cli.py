@@ -197,7 +197,47 @@ class TestCertifyCommand:
             assert all(c["within_tolerance"] for c in doc["zero_conditions"])
 
 
+class TestModeFlags:
+    @pytest.mark.parametrize(
+        "command, mode, flag",
+        [
+            ("witness", "bipartite", ["--peel-order", "1"]),
+            ("witness", "bipartite", ["--exhaustive-orders"]),
+            ("witness", "multipartite", ["--split", "1|2,3"]),
+            ("witness", "multipartite", ["--pair", "0,1"]),
+            ("certify", "bipartite", ["--peel-order", "1"]),
+            ("certify", "bipartite", ["--exhaustive-orders"]),
+            ("certify", "bipartite", ["--zero-tol", "1e-6"]),
+            ("certify", "multipartite", ["--split", "1|2,3"]),
+            ("certify", "multipartite", ["--pair", "auto"]),
+            ("certify", "multipartite", ["--allow-degenerate"]),
+            ("certify", "multipartite", ["--idealized"]),
+        ],
+    )
+    def test_rejects_flags_its_mode_does_not_read(
+        self, state_file, tri_file, command, mode, flag, capsys
+    ):
+        where = ["--state", state_file, "--split", "1|2"] if mode == "bipartite" else [
+            "--state", tri_file
+        ]
+        assert main([command, *where, "--mode", mode, *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not apply to {command} in {mode} mode" in captured.err
+
+    def test_accepts_flags_its_mode_reads(self, state_file, tri_file, capsys):
+        assert main(["witness", "--state", state_file, "--split", "1|2", "--pair", "auto",
+                     "--zero-tol", "1e-6"]) == 0
+        assert main(["certify", "--state", tri_file, "--mode", "multipartite",
+                     "--zero-tol", "1e-6", "--exhaustive-orders"]) == 3
+
+
 class TestSimulateCommand:
+    def test_rejects_flags_it_does_not_read(self, state_file, capsys):
+        assert main(["simulate", "--state", state_file, "--split", "1|2", "--shots", "10",
+                     "--seed", "1", "--zero-tol", "1e-6"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_reproducible_csv(self, state_file, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -277,9 +317,12 @@ class TestExitCodes:
     def test_bad_split_indices(self, state_file, capsys):
         assert main(["schmidt", "--state", state_file, "--split", "1|3"]) == 1
 
-    def test_negative_tolerance(self, state_file, capsys):
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--eps-deg", "--zero-tol"])
+    def test_negative_tolerance(self, state_file, flag, value, capsys):
         assert main(["witness", "--state", state_file, "--split", "1|2",
-                     "--eps-deg", "-1"]) == 1
+                     flag, value]) == 1
+        assert f"{flag} must be finite and positive" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -213,7 +213,7 @@ class TestJointTable:
         rng = np.random.default_rng(3)
         v = random_state(rng, (3, 3))
         report = hw.make_witness_report(v, SPLIT)
-        report.table.check(1e-10)  # raises on violation
+        report.table.check()  # raises on violation
 
     def test_phase_covariance(self):
         rng = np.random.default_rng(len("phase"))

@@ -81,7 +81,7 @@ class TestConstraintSystem:
         for col, strategy in enumerate(strategies):
             for row, (choice, outcomes) in enumerate(keys):
                 oracle[row, col] = all(
-                    strategy.outcome(party, table.setting_index(party, choice[party]))
+                    strategy.outcome(party, table.party_settings[party].index(choice[party]))
                     == outcomes[party]
                     for party in range(table.n_parties)
                 )

@@ -251,7 +251,7 @@ class TestMultipartiteTable:
         table = hw.multipartite_table(tripartite_example, w)
         # 2x2x1 setting choices, 3*3*2 outcome tuples
         assert len(table.entries) == 72
-        table.check(1e-10)
+        table.check()
 
     def test_flagged_entry_matches_combined(self, tripartite_example):
         w = hw.multipartite_witness(tripartite_example)

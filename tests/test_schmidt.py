@@ -136,6 +136,8 @@ class TestDistinctWeightPairs:
         d = hw.schmidt_decompose(v, SPLIT)
         with pytest.raises(ValueError):
             hw.distinct_weight_pairs(d, 0.0)
+        with pytest.raises(ValueError):
+            hw.distinct_weight_pairs(d, float("nan"))
 
     def test_empty_exactly_when_all_close(self):
         rng = np.random.default_rng(41)
