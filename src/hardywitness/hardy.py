@@ -92,6 +92,12 @@ def max_hardy_probability_qubit(grid: int = 10**6) -> tuple[float, float]:
     return best_t, f(best_t)
 
 
+def _check_eps_deg(eps_deg: float) -> None:
+    """Reject a degeneracy tolerance that is NaN, infinite, zero or negative."""
+    if not 0 < eps_deg < math.inf:
+        raise ValueError("eps_deg must be finite and positive")
+
+
 def distinct_weight_pairs(
     d: SchmidtDecomposition, eps_deg: float = DEFAULT_EPS_DEG
 ) -> list[tuple[int, int]]:
@@ -100,8 +106,7 @@ def distinct_weight_pairs(
     An empty list means the construction does not apply to this state
     (single Schmidt term, or all weights equal within ``eps_deg``).
     """
-    if not 0 < eps_deg < math.inf:
-        raise ValueError("eps_deg must be finite and positive")
+    _check_eps_deg(eps_deg)
     pairs = [
         (i, j)
         for i in range(d.rank)
@@ -220,8 +225,10 @@ def build_construction(
 
     ``allow_degenerate`` skips the distinctness guard; with equal weights the
     y bases collapse onto the swapped x bases and the flagged probability is
-    zero, which is occasionally useful as a control case.
+    zero, which is occasionally useful as a control case.  ``eps_deg`` must
+    be finite and positive either way, as for ``distinct_weight_pairs``.
     """
+    _check_eps_deg(eps_deg)
     i, j = pair
     if not (0 <= i < d.rank and 0 <= j < d.rank) or i == j:
         raise ValueError(f"pair {pair} invalid for rank {d.rank}")

@@ -7,6 +7,15 @@ mixture reproduces the table exactly is a linear-programming feasibility
 question over the strategy weights; infeasibility comes with a Farkas dual
 vector, which reads as a Bell-type linear inequality every local model obeys
 and the quantum table violates.
+
+A party with a single setting can be folded into the hidden variable: its
+one answer is part of the strategy, so the table has a local model exactly
+when every slice of it does, where a slice fixes one outcome per
+single-setting party.  This is the paper's many-particle argument, which
+conditions on the outcomes of the peeled particles and runs the two-party
+argument on what remains.  ``certify`` therefore solves one small LP per
+slice over the remaining (core) parties' strategies and never forms the
+dense system of the whole table.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalFailure, TooLarge
 from .hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, JointProbabilityTable
-from .simplex import solve_equality_feasibility
+from .simplex import FEAS_TOL, solve_equality_feasibility
 
 STRATEGY_CAP = 10**6
 # Strategy-side dual slack allowed on a verified infeasibility certificate.
@@ -81,7 +90,9 @@ class LhvCertificate:
     Feasible: ``weights`` is a probability vector over ``strategies`` whose
     mixture reproduces every entry.  Infeasible: ``dual`` (indexed by
     ``entry_keys`` plus a trailing normalization component) satisfies
-    dual . column <= 0 for every strategy and dual . table = ``margin`` > 0.
+    dual . column <= 0 for every strategy and dual . table = ``margin`` > 0;
+    for a table with single-setting parties it weighs one slice only (see
+    ``certify``) and its normalization component is 0.
     """
 
     feasible: bool
@@ -127,37 +138,102 @@ def _constraint_system(table: JointProbabilityTable):
 def certify(table: JointProbabilityTable) -> LhvCertificate:
     """Decide whether any local mixture reproduces the table exactly.
 
-    The table is certified as measured, tiny entries included.  Both outcomes
-    are verified against the raw constraint data before being returned;
-    failing that verification raises, since it means the solver (not the
-    physics) broke.
+    The table is certified as measured, tiny entries included, one slice at
+    a time: a slice fixes one outcome per single-setting party, and its
+    entries must lie in the cone of the other (core) parties' deterministic
+    strategies.  Slices are solved in C order and the first infeasible one
+    decides: its Farkas dual, lifted to the whole table with zeros on every
+    other entry and on the normalization component, is ``dual``, so a full
+    strategy outside that slice has dot exactly 0.  If every slice is
+    feasible but their masses do not add up to 1, ``dual`` pairs the first
+    setting block of every slice with the normalization component.
+    Otherwise the slices' weights combine into one mixture over
+    ``strategies``.  A table with no single-setting party is its own one
+    slice and keeps the normalization row, so its LP is the dense one.
+    Each slice's evidence is verified against that slice's own data before
+    anything is returned; failing that verification raises, since it means
+    the solver (not the physics) broke.
     """
-    keys, strategies, a, b = _constraint_system(table)
-    result = solve_equality_feasibility(a, b)
-    if result.feasible:
-        weights = np.asarray(result.x)
-        if weights.min() < -1e-12:
-            raise NumericalFailure(f"negative strategy weight {weights.min()!r}")
-        weights = np.clip(weights, 0.0, None)
-        weights = weights / weights.sum()
-        residual = float(np.max(np.abs(a[:-1] @ weights - b[:-1])))
-        if residual > MIXTURE_TOL:
-            raise NumericalFailure(
-                f"feasible mixture misses the table by {residual!r}"
-            )
-        return LhvCertificate(True, strategies, keys, weights=weights)
-    y = np.asarray(result.dual)
-    dots = y @ a
-    max_dot = float(dots.max())
-    margin = float(y @ b)
-    if max_dot > DUAL_SLACK_TOL or margin < MIN_MARGIN:
-        raise NumericalFailure(
-            f"Farkas certificate failed verification: max strategy dot "
-            f"{max_dot!r}, margin {margin!r}"
-        )
-    return LhvCertificate(
-        False, strategies, keys, dual=y, margin=margin, max_strategy_dot=max_dot
+    strategies = strategies_for_table(table)
+    n = table.n_parties
+    single = [p for p in range(n) if len(table.party_settings[p]) == 1]
+    core = [p for p in range(n) if p not in single]
+    # slices[s] lists the flat positions of slice s's entries in probs, in
+    # the core table's key order (core setting axes, then core outcomes).
+    positions = np.arange(table.probs.size).reshape(table.probs.shape)
+    positions = positions[tuple(0 if p in single else slice(None) for p in range(n))]
+    k = len(core)
+    slices = positions.transpose(
+        [k + p for p in single] + list(range(k)) + [k + p for p in core]
+    ).reshape(math.prod(len(table.party_outcomes[p]) for p in single), -1)
+    rows = table.probs.ravel()[slices]
+    core_table = JointProbabilityTable(
+        tuple(table.party_settings[p] for p in core),
+        tuple(table.party_outcomes[p] for p in core),
+        rows[0],
     )
+    _, _, a, b = _constraint_system(core_table)
+    cone = a[:-1]
+    if single:
+        # A slice's total weight is its own mass, which its setting blocks
+        # already fix (each column has one hit per block), so sliced LPs
+        # drop the normalization row.
+        lp_rows, lp_rhs = cone, rows
+    else:
+        lp_rows, lp_rhs = a, b[None, :]
+    solved, dual = [], None
+    for s, rhs in enumerate(lp_rhs):
+        result = solve_equality_feasibility(lp_rows, rhs)
+        if result.feasible:
+            solved.append(np.asarray(result.x))
+            continue
+        y = np.asarray(result.dual)
+        dual = np.zeros(table.probs.size + 1)
+        dual[slices[s]] = y[: slices.shape[1]]
+        if not single:
+            dual[-1] = y[-1]
+        max_dot = float((y @ lp_rows).max())
+        if len(slices) > 1:
+            max_dot = max(max_dot, 0.0)  # the other slices' strategies
+        margin = float(y @ rhs)
+        break
+    else:
+        # Every slice has a local model, but the normalization row that the
+        # sliced LPs drop still asks that their masses add up to 1.  Where
+        # they do not, the first setting block of every slice against that
+        # row separates the table: each full strategy hits that block once.
+        block = math.prod(len(table.party_outcomes[p]) for p in core)
+        excess = float(rows[:, :block].sum()) - 1.0
+        if abs(excess) > FEAS_TOL:
+            dual = np.zeros(table.probs.size + 1)
+            dual[slices[:, :block]] = math.copysign(1.0, excess)
+            dual[-1] = -math.copysign(1.0, excess)
+            max_dot, margin = 0.0, abs(excess)
+    keys = tuple(table.ordered_keys())
+    if dual is not None:
+        if max_dot > DUAL_SLACK_TOL or margin < MIN_MARGIN:
+            raise NumericalFailure(
+                f"Farkas certificate failed verification: max strategy dot "
+                f"{max_dot!r}, margin {margin!r}"
+            )
+        return LhvCertificate(
+            False, strategies, keys, dual=dual, margin=margin, max_strategy_dot=max_dot
+        )
+    weights = np.array(solved)
+    if weights.min() < -1e-12:
+        raise NumericalFailure(f"negative strategy weight {weights.min()!r}")
+    weights = np.clip(weights, 0.0, None)
+    weights = weights / weights.sum()
+    residual = float(np.max(np.abs(weights @ cone.T - rows)))
+    if residual > MIXTURE_TOL:
+        raise NumericalFailure(f"feasible mixture misses the table by {residual!r}")
+    # Full strategies run over the parties' answer tables in party order; a
+    # single-setting party's answer table is its slice outcome.
+    counts = [
+        len(table.party_outcomes[p]) ** len(table.party_settings[p]) for p in single + core
+    ]
+    weights = weights.reshape(counts).transpose(np.argsort(single + core)).ravel()
+    return LhvCertificate(True, strategies, keys, weights=weights)
 
 
 def idealized_table(table: JointProbabilityTable) -> JointProbabilityTable:

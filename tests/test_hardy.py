@@ -142,6 +142,20 @@ class TestConstruction:
         con = hw.build_construction(d, (0, 1), allow_degenerate=True)
         assert con.p1 == con.p2
 
+    @pytest.mark.parametrize("eps_deg", [float("nan"), math.inf, 0.0, -1.0])
+    def test_eps_deg_must_be_finite_and_positive(self, eps_deg):
+        bell = hw.make_state([2, 2], [1, 0, 0, 1])
+        d = hw.schmidt_decompose(bell, SPLIT)
+        calls = (
+            lambda: hw.build_construction(d, (0, 1), eps_deg),
+            lambda: hw.build_construction(d, (0, 1), eps_deg, allow_degenerate=True),
+            lambda: hw.make_witness_report(bell, SPLIT, pair=(0, 1), eps_deg=eps_deg),
+            lambda: hw.distinct_weight_pairs(d, eps_deg),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="eps_deg must be finite and positive"):
+                call()
+
     def test_bad_pair_index(self, state_08_02):
         d = hw.schmidt_decompose(state_08_02, SPLIT)
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,15 @@ from numpy.testing import assert_allclose
 import hardywitness as hw
 from hardywitness.errors import TooLarge
 from hardywitness.hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, JointProbabilityTable
-from hardywitness.lhv import _constraint_system
+from hardywitness.lhv import (
+    DUAL_SLACK_TOL,
+    MIN_MARGIN,
+    MIXTURE_TOL,
+    STRATEGY_CAP,
+    _constraint_system,
+)
+
+from conftest import random_state
 
 SPLIT = hw.Bipartition((0,), (1,))
 
@@ -221,6 +231,188 @@ class TestCertifyMultipartite:
         table = hw.multipartite_table(product, w)
         cert = hw.certify(table)
         assert cert.feasible
+
+
+def _permuted(table, order):
+    """The same table with its parties listed in ``order``."""
+    n = table.n_parties
+    return JointProbabilityTable(
+        tuple(table.party_settings[p] for p in order),
+        tuple(table.party_outcomes[p] for p in order),
+        table.probs.transpose(list(order) + [n + p for p in order]),
+    )
+
+
+def _random_product_state(rng, dims):
+    v = np.ones(1)
+    for d in dims:
+        v = np.kron(v, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return hw.make_state(dims, v)
+
+
+def _sliced_tables():
+    """Seeded multipartite tables, infeasible and feasible, 3 to 6 parties.
+
+    Each state's table is paired with the table of a random product state
+    measured with the same witness observables, which a local model
+    reproduces.  Two cases list a single-setting party first, and in the
+    last one the first slice is empty, so the second slice decides.
+    """
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for dims in ([2, 2, 2], [3, 3, 2], [2, 2, 2, 2], [2, 3, 2, 2], [2] * 5, [2] * 6):
+        v = random_state(rng, dims)
+        w = hw.multipartite_witness(v)
+        assert w.applicable
+        cases.append((f"{dims}", hw.multipartite_table(v, w)))
+        product = _random_product_state(rng, dims)
+        cases.append((f"{dims}-product", hw.multipartite_table(product, w)))
+    _, table4 = cases[4]
+    _, product4 = cases[5]
+    cases.append(("[2, 2, 2, 2]-peeled-first", _permuted(table4, (3, 0, 2, 1))))
+    cases.append(("[2, 2, 2, 2]-product-peeled-first", _permuted(product4, (2, 1, 3, 0))))
+    two = hw.make_witness_report(
+        hw.make_state([2, 2], [0.8**0.5, 0, 0, 0.2**0.5]), SPLIT
+    ).table
+    cases.append((
+        "0.8/0.2-then-certain-outcome",
+        JointProbabilityTable(
+            two.party_settings + (("T3",),),
+            two.party_outcomes + ((1, 0),),
+            np.multiply.outer(two.probs, [0.0, 1.0]),
+        ),
+    ))
+    return cases
+
+
+SLICED_TABLES = _sliced_tables()
+
+
+class TestCertifySlices:
+    """The sliced certificate against the dense LP of the whole table."""
+
+    @pytest.mark.parametrize(
+        "table", [t for _, t in SLICED_TABLES], ids=[name for name, _ in SLICED_TABLES]
+    )
+    def test_matches_dense_system(self, table):
+        cert = hw.certify(table)
+        keys, strategies, a, b = _constraint_system(table)
+        dense = hw.solve_equality_feasibility(a, b)
+        assert cert.feasible == dense.feasible
+        assert cert.strategies == strategies == hw.strategies_for_table(table)
+        assert cert.entry_keys == keys
+        if cert.feasible:
+            assert cert.weights.shape == (len(strategies),)
+            assert cert.weights.min() >= 0.0
+            assert abs(cert.weights.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(a[:-1] @ cert.weights - b[:-1])) <= MIXTURE_TOL
+            return
+        dots = cert.dual @ a  # one dot per full strategy column
+        assert dots.max() <= DUAL_SLACK_TOL
+        assert cert.dual @ b >= MIN_MARGIN
+        assert abs(cert.dual @ b - cert.margin) < 1e-12
+        assert abs(dots.max() - cert.max_strategy_dot) < 1e-12
+        assert cert.dual[-1] == 0.0
+        # the dual covers one slice: every entry it weighs shows the same
+        # outcomes on the single-setting parties
+        single = [p for p, labels in enumerate(table.party_settings) if len(labels) == 1]
+        weighed = {
+            tuple(outcomes[p] for p in single)
+            for (_, outcomes), y in zip(keys, cert.dual[:-1])
+            if y != 0.0
+        }
+        assert len(weighed) == 1
+
+    @pytest.mark.parametrize(
+        "scale", [1.1, 0.9, 1 + 1e-6, None],
+        ids=["x1.1", "x0.9", "x(1+1e-6)", "negative-first-slice"],
+    )
+    def test_invalid_table_matches_dense_system(self, scale):
+        """Tables that are not probability tables get the dense verdict too.
+
+        A scaled feasible table passes every slice LP, and only the dropped
+        normalization row separates it; a first slice of negative entries
+        decides with a dual whose own columns all dot below 0, while the
+        other slice's strategies dot exactly 0.
+        """
+        if scale is not None:
+            _, product = SLICED_TABLES[3]  # a feasible [3, 3, 2] table
+            settings, outcomes = product.party_settings, product.party_outcomes
+            probs = product.probs * scale
+        else:
+            two = SLICED_TABLES[-1][1]
+            settings, outcomes = two.party_settings, two.party_outcomes
+            probs = two.probs.copy()
+            probs[..., 0] = -0.01
+            probs[..., 1] += 0.01
+        table = JointProbabilityTable(settings, outcomes, probs)
+        cert = hw.certify(table)
+        _, _, a, b = _constraint_system(table)
+        assert not hw.solve_equality_feasibility(a, b).feasible
+        assert not cert.feasible
+        dots = cert.dual @ a
+        assert dots.max() <= DUAL_SLACK_TOL
+        assert abs(dots.max() - cert.max_strategy_dot) < 1e-12
+        assert cert.dual @ b >= MIN_MARGIN
+        assert abs(cert.dual @ b - cert.margin) < 1e-12
+
+    def test_every_case_kind_present(self):
+        verdicts = [hw.certify(t).feasible for _, t in SLICED_TABLES]
+        assert verdicts.count(True) == 7 and verdicts.count(False) == 8
+        assert len(SLICED_TABLES[-2][1].party_settings[0]) == 1
+
+    def test_ten_parties_in_bounded_memory(self, report_08_02):
+        """0.8/0.2 table times 8 one-setting parties: the dense system is ~1.5 GB."""
+        two = report_08_02.table
+        probs = two.probs
+        for _ in range(8):
+            probs = np.multiply.outer(probs, [0.3, 0.7])
+        table = JointProbabilityTable(
+            two.party_settings + tuple((f"T{k}",) for k in range(3, 11)),
+            two.party_outcomes + ((1, 0),) * 8,
+            probs,
+        )
+        start = time.perf_counter()
+        hw.certify(table)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            cert = hw.certify(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 64 * 2**20
+        assert not cert.feasible and cert.margin >= MIN_MARGIN
+        assert len(cert.strategies) == 81 * 2**8
+        assert cert.dual.shape == (table.probs.size + 1,)
+        # the first slice (every extra party answers 1) already violates;
+        # its dual re-verifies against the two-party columns
+        y = cert.dual[:-1].reshape(table.probs.shape)[(..., *[0] * 8)].ravel()
+        assert np.count_nonzero(cert.dual) == np.count_nonzero(y)
+        _, _, a2, _ = _constraint_system(two)
+        assert float((y @ a2[:-1]).max()) <= DUAL_SLACK_TOL
+
+    def test_strategy_cap_before_large_allocation(self, report_08_02):
+        two = report_08_02.table
+        extra = 14  # 81 * 2**14 strategies exceed the cap
+        assert 81 * 2**extra > STRATEGY_CAP
+        probs = two.probs
+        for _ in range(extra):
+            probs = np.multiply.outer(probs, [0.5, 0.5])
+        table = JointProbabilityTable(
+            two.party_settings + tuple((f"T{k}",) for k in range(extra)),
+            two.party_outcomes + ((1, 0),) * extra,
+            probs,
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                hw.certify(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestContradictionTrace:
