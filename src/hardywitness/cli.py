@@ -21,7 +21,9 @@ from .hardy import (
     JointProbabilityTable,
     WitnessReport,
     build_construction,
+    choose_pair,
     distinct_weight_pairs,
+    entry_label,
     hardy_probability,
     joint_table,
     make_witness_report,
@@ -392,7 +394,7 @@ def cmd_schmidt(args) -> int:
             + " ".join(f"({i},{j})" for i, j in pairs)
         )
     else:
-        print("no usable pair: weights are all equal within eps-deg (or rank 1)")
+        print(f"no usable pair: {choose_pair(d, args.eps_deg)[1]}")
     return EXIT_OK
 
 
@@ -468,46 +470,36 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    v = load_state(args.state)
+def _certify_table(args, v) -> tuple[JointProbabilityTable | None, str | None]:
+    """The table ``certify`` decides, or None and the not-applicable reason."""
     if args.mode == "multipartite":
         w = _multipartite_witness(args, v)
-        if not w.applicable:
-            if args.format == "machine":
-                _print_machine(
-                    {"command": "certify", "mode": "multipartite",
-                     "verdict": "not-applicable", "reason": w.reason}
-                )
-            else:
-                print("verdict: not applicable (no table to certify)")
-                print(f"reason: {w.reason}")
-            return EXIT_OK
-        table = multipartite_table(v, w)
-        cert = certify(table)
-    else:
-        split = _split_for(args, v)
-        d = schmidt_decompose(v, split)
-        pair = parse_pair(args.pair)
+        return (multipartite_table(v, w), None) if w.applicable else (None, w.reason)
+    d = schmidt_decompose(v, _split_for(args, v))
+    pair = parse_pair(args.pair)
+    if pair is None:
+        pair, reason = choose_pair(d, args.eps_deg)
         if pair is None:
-            pairs = distinct_weight_pairs(d, args.eps_deg)
-            if not pairs:
-                if args.format == "machine":
-                    _print_machine(
-                        {"command": "certify", "mode": "bipartite",
-                         "verdict": "not-applicable",
-                         "reason": "no distinct weight pair"}
-                    )
-                else:
-                    print("verdict: not applicable (no distinct weight pair)")
-                return EXIT_OK
-            pair = pairs[0]
-        construction = build_construction(
-            d, pair, args.eps_deg, allow_degenerate=args.allow_degenerate
-        )
-        table = joint_table(v, construction)
-        if args.idealized:
-            table = idealized_table(table)
-        cert = certify(table)
+            return None, reason
+    construction = build_construction(d, pair, args.eps_deg, allow_degenerate=args.allow_degenerate)
+    table = joint_table(v, construction)
+    return (idealized_table(table) if args.idealized else table), None
+
+
+def cmd_certify(args) -> int:
+    v = load_state(args.state)
+    table, reason = _certify_table(args, v)
+    if table is None:
+        if args.format == "machine":
+            _print_machine(
+                {"command": "certify", "mode": args.mode,
+                 "verdict": "not-applicable", "reason": reason}
+            )
+        else:
+            print("verdict: not applicable (no table to certify)")
+            print(f"reason: {reason}")
+        return EXIT_OK
+    cert = certify(table)
     tree = {
         "command": "certify",
         "mode": args.mode,
@@ -532,12 +524,7 @@ def cmd_certify(args) -> int:
         print("violated inequality (coefficients on table entries):")
         for key, coefficient in zip(cert.entry_keys, cert.dual[:-1]):
             if abs(coefficient) > 1e-12:
-                choice, outcomes = key
-                pretty = ", ".join(
-                    f"{s}={o:+d}" if not s.startswith("T") and o != 0 else f"{s}={o}"
-                    for s, o in zip(choice, outcomes)
-                )
-                print(f"  {fmt(coefficient)} * P({pretty})")
+                print(f"  {fmt(coefficient)} * {entry_label(*key)}")
         print(f"  + {fmt(cert.dual[-1])} <= 0 for every local model")
         print(f"  quantum table value: {fmt(cert.margin)} > 0")
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE

@@ -117,6 +117,19 @@ def distinct_weight_pairs(
     return pairs
 
 
+def choose_pair(d: SchmidtDecomposition, eps_deg: float = DEFAULT_EPS_DEG) -> tuple:
+    """``(pair, None)`` for the best distinct-weight pair, else ``(None, reason)``.
+
+    The reason is the not-applicable verdict every command reports.
+    """
+    pairs = distinct_weight_pairs(d, eps_deg)
+    if pairs:
+        return pairs[0], None
+    if d.rank == 1:
+        return None, "rank 1 (product across this split)"
+    return None, "all Schmidt weights equal within eps_deg"
+
+
 @dataclass(frozen=True)
 class HardyRotations:
     """The two 2x2 unitaries of the construction for a weight pair.
@@ -415,11 +428,16 @@ class HardyCondition:
 
     @property
     def label(self) -> str:
-        parts = [
-            f"{s}={o:+d}" if o != 0 else f"{s}=0"
-            for s, o in zip(self.settings, self.outcomes)
-        ]
-        return f"P({', '.join(parts)})"
+        return entry_label(self.settings, self.outcomes)
+
+
+def entry_label(settings, outcomes) -> str:
+    """``P(X1=+1, X2=0, T3=2)``: X/Y outcomes signed, 0 and T branch numbers plain."""
+    parts = (
+        f"{s}={o}" if o == 0 or s.startswith("T") else f"{s}={o:+d}"
+        for s, o in zip(settings, outcomes)
+    )
+    return f"P({', '.join(parts)})"
 
 
 ZERO_CONDITIONS = (
@@ -524,22 +542,16 @@ def make_witness_report(
 ) -> WitnessReport:
     """Build the full test report for one state and bipartition.
 
-    With ``pair=None`` the distinct-weight pair with the largest flagged
-    probability is chosen automatically; when no such pair exists the state
-    is reported as not applicable (nothing can be concluded about it).
+    With ``pair=None`` the pair comes from :func:`choose_pair`; when no
+    distinct pair exists the state is reported as not applicable, with its
+    reason (nothing can be concluded about it).
     """
     d = schmidt_decompose(v, split)
     weights = tuple(float(w) for w in d.weights)
     if pair is None:
-        pairs = distinct_weight_pairs(d, eps_deg)
-        if not pairs:
-            reason = (
-                "rank 1 (product across this split)"
-                if d.rank == 1
-                else "all Schmidt weights equal within eps_deg"
-            )
+        pair, reason = choose_pair(d, eps_deg)
+        if pair is None:
             return WitnessReport(False, reason, split, weights, eps_deg, zero_tol)
-        pair = pairs[0]
     construction = build_construction(d, pair, eps_deg)
     table = joint_table(v, construction)
     zero_values = tuple(

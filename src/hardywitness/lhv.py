@@ -105,34 +105,28 @@ class LhvCertificate:
 
 
 def _constraint_system(table: JointProbabilityTable):
-    """LP rows ``ordered_keys()`` plus normalization, one column per strategy.
+    """LP matrix ``a`` and right-hand side ``b``: rows ``ordered_keys()`` plus
+    normalization, one column per strategy in ``strategies_for_table`` order.
 
     A strategy hits ``(choice, outcomes)`` when every party answers its own
     setting with its own outcome, so the matrix is the product over parties
-    of one-hot (setting, outcome, local strategy) indicators.  Strategies
-    come in ``itertools.product`` order over the parties' local answer
-    tables, so party p's k-th table is held by strategy k * stride, where
-    stride counts the strategies of the parties after p.
+    of one-hot (setting, outcome, local answer table) indicators.  A party's
+    answer tables are ``itertools.product(outs, repeat=n_settings)``, and the
+    columns run over them in ``itertools.product`` order across parties, as
+    ``enumerate_strategies`` does, so no strategy object is built here.
     """
-    keys = tuple(table.ordered_keys())
-    strategies = strategies_for_table(table)
     n = table.n_parties
-    counts = [
-        len(outs) ** len(labels)
-        for labels, outs in zip(table.party_settings, table.party_outcomes)
-    ]
     hits = np.ones((1,) * (3 * n))
-    for party, outs in enumerate(table.party_outcomes):
-        stride = math.prod(counts[party + 1 :])
-        local = strategies[: counts[party] * stride : stride]
-        answers = np.array([strategy.assignments[party] for strategy in local])
+    for party, (labels, outs) in enumerate(zip(table.party_settings, table.party_outcomes)):
+        answers = np.array(list(itertools.product(outs, repeat=len(labels))))
         onehot = answers.T[:, None, :] == np.array(outs)[None, :, None]
         shape = [1] * (3 * n)
         shape[party], shape[n + party], shape[2 * n + party] = onehot.shape
         hits = hits * onehot.reshape(shape)
-    a = np.vstack([hits.reshape(len(keys), len(strategies)), np.ones(len(strategies))])
+    hits = hits.reshape(table.probs.size, -1)
+    a = np.vstack([hits, np.ones(hits.shape[1])])
     b = np.append(table.probs.ravel(), 1.0)
-    return keys, strategies, a, b
+    return a, b
 
 
 def certify(table: JointProbabilityTable) -> LhvCertificate:
@@ -172,7 +166,7 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
         tuple(table.party_outcomes[p] for p in core),
         rows[0],
     )
-    _, _, a, b = _constraint_system(core_table)
+    a, b = _constraint_system(core_table)
     cone = a[:-1]
     if single:
         # A slice's total weight is its own mass, which its setting blocks

@@ -10,8 +10,8 @@ probability: the product of the marked q_k^2 factors times the two-party
 value.
 
 The search does only the work its answer needs.  A two-party leaf is scored
-by its Schmidt weights (``distinct_weight_pairs`` and ``hardy_probability``,
-the same float the full report's closed form gives), and one full
+by its Schmidt weights (``choose_pair`` and ``hardy_probability``, the same
+float the full report's closed form gives), and one full
 ``make_witness_report`` is built, for the winning leaf.  Within one call each
 residual is peeled once per (path, target) prefix, so orders that share a
 prefix share its peels.
@@ -53,7 +53,8 @@ from .hardy import (
     JointProbabilityTable,
     Observable,
     WitnessReport,
-    distinct_weight_pairs,
+    choose_pair,
+    entry_label,
     hardy_probability,
     make_witness_report,
 )
@@ -166,10 +167,10 @@ def _recurse(
     """
     if len(labels) == 2:
         d = schmidt_decompose(v, Bipartition((0,), (1,)))
-        pairs = distinct_weight_pairs(d, eps_deg)
-        if not pairs:
+        pair, _ = choose_pair(d, eps_deg)
+        if pair is None:
             return None
-        i, j = pairs[0]
+        i, j = pair
         return (), v, 1.0, hardy_probability(float(d.weights[i]), float(d.weights[j]))
     target = order[0]
     key = path + (target,)
@@ -284,14 +285,11 @@ def _evaluate_conditions(
     values = []
     t_settings = tuple(s.observable.label for s in steps)
     t_outcomes = tuple(s.marked_eigenvalue for s in steps)
-    t_suffix = ", ".join(f"{s}={o}" for s, o in zip(t_settings, t_outcomes))
     memo: dict = {}
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
-        measured = _entry_probability(
-            v, chain, cond.settings + t_settings, cond.outcomes + t_outcomes, memo
-        )
-        base = cond.label[:-1]  # strip ")"
-        label = f"{base}, {t_suffix})"
+        settings, outcomes = cond.settings + t_settings, cond.outcomes + t_outcomes
+        measured = _entry_probability(v, chain, settings, outcomes, memo)
+        label = entry_label(settings, outcomes)
         if cond.expect_zero:
             ok = measured < zero_tol
             predicted = 0.0

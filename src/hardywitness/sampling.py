@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TooLarge
 from .hardy import (
     FLAGGED_CONDITION,
     ZERO_CONDITIONS,
@@ -40,6 +41,8 @@ MASK64 = (1 << 64) - 1
 # Shots drawn, iterated and exported per step: bounds the working arrays
 # (about 1 MB at this size) whatever the shot count.
 CHUNK = 1 << 16
+# Most shots one run may hold: its cells take at least 1 byte per shot.
+SHOT_CAP = 10**9
 
 DEFAULT_SCHEDULE = (("X1", "X2"), ("X1", "Y2"), ("Y1", "X2"), ("Y1", "Y2"))
 DEFAULT_SIGMA = 4.0
@@ -134,11 +137,12 @@ def sample_from_table(
     its uniform u, so a zero-probability pair owns an empty interval and is
     never taken while u lies below the row's last edge.  When u lies at or
     beyond that edge (the row sums to slightly less than 1), the shot takes
-    the last pair whose running sum is positive: normally the row's last
-    pair, even when that pair's own probability is zero.
+    the last pair with a positive entry, so a zero-probability pair is never
+    taken at all.
 
     Only two-party tables can be sampled; a table of any other number of
-    parties raises ``ValueError``.
+    parties raises ``ValueError``.  More than ``SHOT_CAP`` shots raise
+    ``TooLarge`` before anything is allocated.
     """
     if table.n_parties != 2:
         raise ValueError(
@@ -146,6 +150,8 @@ def sample_from_table(
         )
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > SHOT_CAP:
+        raise TooLarge(f"{shots} shots exceed the cap of {SHOT_CAP}")
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
     schedule = [tuple(pair) for pair in schedule]
@@ -157,12 +163,12 @@ def sample_from_table(
             raise ValueError(f"schedule entry {pair} is not a setting choice")
     outcome_pairs = tuple(table.outcome_tuples())
     n_pairs = len(outcome_pairs)
-    cdfs = [np.cumsum(table.probs[table.index(pair)]) for pair in schedule]
+    rows = [table.probs[table.index(pair)].ravel() for pair in schedule]
     # The first edge above u is also the first running maximum above u, and
     # searchsorted needs sorted edges (a table may hold tiny negative entries).
-    edges = [np.maximum.accumulate(cdf) for cdf in cdfs]
-    # u landed beyond the (~1.0) last edge: take the last positive edge
-    beyond = [int(np.flatnonzero(cdf > 0.0)[-1]) for cdf in cdfs]
+    edges = [np.maximum.accumulate(np.cumsum(row)) for row in rows]
+    # u landed beyond the (~1.0) last edge: take the last positive entry
+    beyond = [int(np.flatnonzero(row > 0.0)[-1]) for row in rows]
     period = len(schedule)
     cells = np.empty(shots, dtype=np.min_scalar_type(period * n_pairs - 1))
     for start in range(0, shots, CHUNK):

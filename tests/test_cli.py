@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hardywitness as hw
 from hardywitness.cli import main, machine_dumps, parse_split
+from hardywitness.sampling import SHOT_CAP
 
 SPLIT = hw.Bipartition((0,), (1,))
 
@@ -269,6 +271,50 @@ class TestSimulateCommand:
         code = main(["simulate", "--state", bell_file, "--split", "1|2",
                      "--shots", "10", "--seed", "1"])
         assert code == 1
+
+    def test_shots_past_cap_fail_cleanly_before_allocating(self, state_file, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--state", state_file, "--split", "1|2",
+                         "--shots", str(SHOT_CAP + 1), "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {SHOT_CAP + 1} shots exceed the cap of {SHOT_CAP}\n"
+        assert peak < 2**20
+
+
+class TestNotApplicableReasons:
+    """witness, certify and schmidt word one state's verdict the same way."""
+
+    @pytest.mark.parametrize(
+        "amps, reason",
+        [
+            ([1, 0, 0, 1], "all Schmidt weights equal within eps_deg"),
+            ([1, 1, 0, 0], "rank 1 (product across this split)"),
+        ],
+        ids=["equal", "rank1"],
+    )
+    def test_one_reason_per_state(self, tmp_path, capsys, amps, reason):
+        path = tmp_path / "state.json"
+        hw.dump_state(hw.make_state([2, 2], amps), path)
+        base = ["--state", str(path), "--split", "1|2"]
+        assert main(["witness", *base, "--format", "machine"]) == 0
+        assert json.loads(capsys.readouterr().out)["reason"] == reason
+        assert main(["certify", *base, "--format", "machine"]) == 0
+        assert capsys.readouterr().out == machine_dumps(
+            {"command": "certify", "mode": "bipartite",
+             "verdict": "not-applicable", "reason": reason}
+        ) + "\n"
+        assert main(["certify", *base]) == 0
+        assert capsys.readouterr().out == (
+            f"verdict: not applicable (no table to certify)\nreason: {reason}\n"
+        )
+        assert main(["schmidt", *base]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"no usable pair: {reason}"
 
 
 class TestScanCommand:

@@ -8,10 +8,10 @@ from numpy.testing import assert_allclose
 
 import hardywitness as hw
 from hardywitness.errors import DegeneratePair, NonPositiveWeight, NumericalFailure
-from hardywitness.hardy import FLAGGED_CONDITION, ZERO_CONDITIONS
+from hardywitness.hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, choose_pair, entry_label
 from hardywitness.schmidt import SchmidtDecomposition
 
-from conftest import random_state
+from conftest import random_state, random_unitary
 
 SPLIT = hw.Bipartition((0,), (1,))
 
@@ -361,3 +361,74 @@ class TestWitnessReport:
             "P(X1=0, Y2=+1)",
         ]
         assert FLAGGED_CONDITION.label == "P(Y1=+1, Y2=+1)"
+
+    def test_entry_label_signs_x_and_y_outcomes_only(self):
+        label = entry_label(("X1", "Y2", "T3", "T4"), (-1, 0, 1, 2))
+        assert label == "P(X1=-1, Y2=0, T3=1, T4=2)"
+
+    @pytest.mark.parametrize(
+        "amps, reason",
+        [
+            ([1, 0, 0, 1], "all Schmidt weights equal within eps_deg"),
+            ([1, 1, 0, 0], "rank 1 (product across this split)"),
+        ],
+    )
+    def test_choose_pair_reason_is_the_report_reason(self, amps, reason):
+        v = hw.make_state([2, 2], amps)
+        assert choose_pair(hw.schmidt_decompose(v, SPLIT)) == (None, reason)
+        assert hw.make_witness_report(v, SPLIT).reason == reason
+
+
+@st.composite
+def near_eps_cases(draw):
+    """A d x d state U diag(w) V^T (d = 2-6) with weights k and k + 1 set
+    ``gap * eps_deg`` apart and every other weight far from both."""
+    d = draw(st.integers(2, 6))
+    eps_deg = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        levels = np.sort(rng.uniform(0.1, 1.0, d - 1))[::-1]
+        if d == 2 or np.min(-np.diff(levels)) > 0.02:
+            break
+    k = int(rng.integers(d - 1))
+    base = np.insert(levels, k, levels[k])
+    base /= np.linalg.norm(base)
+    u, v = random_unitary(rng, d), random_unitary(rng, d)
+
+    def state(gap):
+        w = base.copy()
+        w[k] += gap * eps_deg
+        return hw.make_state([d, d], (u @ np.diag(w) @ v.T).reshape(-1))
+
+    return state, (k, k + 1), eps_deg
+
+
+class TestEpsDegEdge:
+    """A weight pair is distinct exactly when it lies more than eps_deg apart."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(near_eps_cases())
+    def test_pair_distinct_past_eps_deg_only(self, case):
+        state, pair, eps_deg = case
+        far, near = state(1.5), state(0.5)
+        d_far = hw.schmidt_decompose(far, SPLIT)
+        assert pair in hw.distinct_weight_pairs(d_far, eps_deg)
+        report = hw.make_witness_report(far, SPLIT, pair=pair, eps_deg=eps_deg)
+        assert report.applicable and report.all_conditions_hold
+        d_near = hw.schmidt_decompose(near, SPLIT)
+        assert d_near.rank == d_far.rank == far.dims[0]
+        assert pair not in hw.distinct_weight_pairs(d_near, eps_deg)
+        with pytest.raises(DegeneratePair):
+            hw.build_construction(d_near, pair, eps_deg)
+        if d_near.rank == 2:
+            reason = "all Schmidt weights equal within eps_deg"
+            assert choose_pair(d_near, eps_deg) == (None, reason)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the Gram-matrix Schmidt split drops weights below about 3e-7",
+    )
+    @pytest.mark.parametrize("t", [1e-7, 1e-10])
+    def test_tiny_second_weight_is_applicable(self, t):
+        report = hw.make_witness_report(hw.make_state([2, 2], [1, 0, 0, t]), SPLIT)
+        assert report.applicable and report.all_conditions_hold

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hardywitness as hw
+from hardywitness import lhv
 from hardywitness.errors import TooLarge
 from hardywitness.hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, JointProbabilityTable
 from hardywitness.lhv import (
@@ -84,9 +85,9 @@ class TestConstraintSystem:
         ]
         entries = {key: 1.0 / (k + 2) for k, key in enumerate(keys)}
         table = JointProbabilityTable(party_settings, party_outcomes, list(entries.values()))
-        got_keys, strategies, a, b = _constraint_system(table)
-        assert list(got_keys) == keys
-        assert strategies == hw.strategies_for_table(table)
+        a, b = _constraint_system(table)
+        assert table.ordered_keys() == keys
+        strategies = hw.strategies_for_table(table)
         oracle = np.zeros((len(keys) + 1, len(strategies)))
         for col, strategy in enumerate(strategies):
             for row, (choice, outcomes) in enumerate(keys):
@@ -98,6 +99,29 @@ class TestConstraintSystem:
         oracle[-1] = 1.0
         assert np.array_equal(a, oracle)
         assert np.array_equal(b, [entries[key] for key in keys] + [1.0])
+
+
+class TestOneEnumeration:
+    def test_constraint_system_builds_no_strategy(self, report_08_02, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a strategy object was built")
+
+        for name in ("DeterministicStrategy", "enumerate_strategies", "strategies_for_table"):
+            monkeypatch.setattr(lhv, name, refuse)
+        a, b = _constraint_system(report_08_02.table)
+        assert a.shape == (37, 81) and b.shape == (37,)
+
+    def test_certify_enumerates_once(self, report_08_02, tripartite_example, monkeypatch):
+        calls = []
+        enumerate_table = lhv.strategies_for_table
+        monkeypatch.setattr(
+            lhv, "strategies_for_table", lambda t: calls.append(t) or enumerate_table(t)
+        )
+        hw.certify(report_08_02.table)
+        assert len(calls) == 1
+        witness = hw.multipartite_witness(tripartite_example)
+        hw.certify(hw.multipartite_table(tripartite_example, witness))
+        assert len(calls) == 2
 
 
 def _bell_degenerate_table():
@@ -143,7 +167,7 @@ class TestPinnedSolves:
             ),
             "bell_mixture": _bell_degenerate_table,
         }
-        _, _, a, b = _constraint_system(tables[name]())
+        a, b = _constraint_system(tables[name]())
         res = hw.solve_equality_feasibility(a, b)
         feasible, iterations, infeasibility, digest = self.PINNED[name]
         assert res.feasible == feasible
@@ -159,7 +183,7 @@ class TestCertifyBipartite:
         assert not cert.feasible
         assert cert.margin > 1e-9
         # re-verify the certificate against raw data, independently of certify
-        keys, strategies, a, b = _constraint_system(report_08_02.table)
+        a, b = _constraint_system(report_08_02.table)
         dots = cert.dual @ a
         assert float(np.max(dots)) <= 1e-12
         assert abs(float(cert.dual @ b) - cert.margin) < 1e-12
@@ -169,7 +193,7 @@ class TestCertifyBipartite:
         table = hw.joint_table(product, report_08_02.construction)
         cert = hw.certify(table)
         assert cert.feasible
-        keys, strategies, a, b = _constraint_system(table)
+        a, b = _constraint_system(table)
         assert np.max(np.abs(a[:-1] @ cert.weights - b[:-1])) < 1e-8
 
     def test_deterministic_product_state_single_strategy(self):
@@ -296,10 +320,11 @@ class TestCertifySlices:
     )
     def test_matches_dense_system(self, table):
         cert = hw.certify(table)
-        keys, strategies, a, b = _constraint_system(table)
+        a, b = _constraint_system(table)
+        keys, strategies = tuple(table.ordered_keys()), hw.strategies_for_table(table)
         dense = hw.solve_equality_feasibility(a, b)
         assert cert.feasible == dense.feasible
-        assert cert.strategies == strategies == hw.strategies_for_table(table)
+        assert cert.strategies == strategies
         assert cert.entry_keys == keys
         if cert.feasible:
             assert cert.weights.shape == (len(strategies),)
@@ -347,7 +372,7 @@ class TestCertifySlices:
             probs[..., 1] += 0.01
         table = JointProbabilityTable(settings, outcomes, probs)
         cert = hw.certify(table)
-        _, _, a, b = _constraint_system(table)
+        a, b = _constraint_system(table)
         assert not hw.solve_equality_feasibility(a, b).feasible
         assert not cert.feasible
         dots = cert.dual @ a
@@ -390,7 +415,7 @@ class TestCertifySlices:
         # its dual re-verifies against the two-party columns
         y = cert.dual[:-1].reshape(table.probs.shape)[(..., *[0] * 8)].ravel()
         assert np.count_nonzero(cert.dual) == np.count_nonzero(y)
-        _, _, a2, _ = _constraint_system(two)
+        a2, _ = _constraint_system(two)
         assert float((y @ a2[:-1]).max()) <= DUAL_SLACK_TOL
 
     def test_strategy_cap_before_large_allocation(self, report_08_02):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import hardywitness as hw
 from conftest import random_state
+from hardywitness.errors import TooLarge
 from hardywitness.sampling import (
     CHUNK,
     DEFAULT_SCHEDULE,
+    SHOT_CAP,
     records_to_csv,
     sample_from_table,
     splitmix64,
@@ -57,7 +59,7 @@ class TestGenerator:
 
 def _loop_sample(table, shots, seed, schedule):
     """Reference sampler, one shot at a time: the first edge of the running
-    sum above u, else the last positive edge."""
+    sum above u, else the last positive entry."""
     records = []
     for k in range(shots):
         pair = schedule[k % len(schedule)]
@@ -66,7 +68,7 @@ def _loop_sample(table, shots, seed, schedule):
         u = uniform_unit(seed, k)
         i = next((i for i, edge in enumerate(edges) if u < edge), None)
         if i is None:
-            i = max(i for i, edge in enumerate(edges) if edge > 0.0)
+            i = max(i for i, (_, p) in enumerate(row) if p > 0.0)
         records.append(hw.ShotRecord(k, *pair, *row[i][0]))
     return records
 
@@ -159,7 +161,7 @@ class TestSample:
         "case, expected",
         [
             ("on_edge", (1, -1)),  # u equal to an edge belongs to the next pair
-            ("beyond_last_edge", (0, 0)),  # the last positive edge takes it
+            ("beyond_last_edge", (1, -1)),  # the last positive entry takes it
             ("negative_entry", (1, 1)),  # the first edge above u, though edges dip
         ],
     )
@@ -300,6 +302,18 @@ class TestRecords:
         finally:
             tracemalloc.stop()
         assert peak < 16 * CHUNK
+
+
+class TestShotCap:
+    def test_past_cap_raises_before_allocating(self, report_08_02):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="exceed the cap"):
+                sample_from_table(report_08_02.table, SHOT_CAP + 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _random_3x3_table():
