@@ -646,6 +646,10 @@ def main(argv=None) -> int:
     except (HardyWitnessError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

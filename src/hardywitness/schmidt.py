@@ -53,9 +53,12 @@ def _first_significant_index(column: np.ndarray) -> int:
     return int(hits[0]) if hits.size else column.size
 
 
-def _stable_order(weights: np.ndarray, vectors: np.ndarray) -> list[int]:
-    """Nonincreasing weight order; ties broken by first significant component."""
-    order = sorted(range(len(weights)), key=lambda i: -weights[i])
+def _stable_order(
+    weights: np.ndarray, vectors: np.ndarray, indices: list[int]
+) -> list[int]:
+    """``indices`` in nonincreasing weight order; ties broken by first
+    significant component."""
+    order = sorted(indices, key=lambda i: -weights[i])
     result: list[int] = []
     group: list[int] = []
     for idx in order:
@@ -82,11 +85,10 @@ def schmidt_decompose(v: StateVector, split: Bipartition) -> SchmidtDecompositio
     gram = m @ m.conj().T
     eigvals, eigvecs = hermitian_eigensystem(gram)
     weights = np.sqrt(np.clip(eigvals, 0.0, None))
-    order = [
-        i
-        for i in _stable_order(weights, eigvecs)
-        if weights[i] > WEIGHT_FLOOR and eigvals[i] > GRAM_NOISE_FLOOR
-    ]
+    # Both floors are monotone in the eigenvalue, so the kept indices are a
+    # prefix of the full stable order and ordering only them is the same.
+    kept = np.flatnonzero((weights > WEIGHT_FLOOR) & (eigvals > GRAM_NOISE_FLOOR))
+    order = _stable_order(weights, eigvecs, kept.tolist())
     if not order:
         raise NumericalFailure("state has no Schmidt weight above the floor")
     w = weights[order]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hardywitness as hw
+from hardywitness import cli
 from hardywitness.cli import main, machine_dumps, parse_split
 from hardywitness.sampling import SHOT_CAP
 
@@ -285,6 +286,28 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == f"error: {SHOT_CAP + 1} shots exceed the cap of {SHOT_CAP}\n"
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "message, err",
+        [
+            ("Unable to allocate 2.79 GiB", "error: out of memory: Unable to allocate 2.79 GiB\n"),
+            ("", "error: out of memory\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_below_cap_fails_cleanly(
+        self, state_file, capsys, monkeypatch, message, err
+    ):
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sample_from_table", out_of_memory)
+        code = main(["simulate", "--state", state_file, "--split", "1|2",
+                     "--shots", str(SHOT_CAP), "--seed", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
 
 class TestNotApplicableReasons:
