@@ -27,7 +27,6 @@ from .hardy import (
     ZERO_CONDITIONS,
     HardyCondition,
     HardyConstruction,
-    HardyRotations,
     JointProbabilityTable,
     Observable,
     WitnessReport,

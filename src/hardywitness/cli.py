@@ -278,9 +278,7 @@ def witness_tree(report: WitnessReport) -> dict:
         ],
         "hardy_measured": report.hardy_measured,
         "hardy_closed_form": report.hardy_closed_form,
-        "decomposition_residuals": (
-            list(report.residuals.residuals) if report.residuals else None
-        ),
+        "decomposition_residuals": list(report.residuals) if report.residuals else None,
         "table": table_tree(report.table) if report.table else None,
     }
     return tree
@@ -308,10 +306,10 @@ def multiwitness_tree(w: MultipartiteWitness) -> dict:
         "combined_probability": w.combined_probability,
         "conditions": [
             {
-                "label": c.label,
-                "expect_zero": c.expect_zero,
-                "measured": c.measured,
-                "predicted": c.predicted,
+                "label": c.condition.label,
+                "expect_zero": c.condition.expect_zero,
+                "measured": c.value,
+                "predicted": 0.0 if c.condition.expect_zero else w.combined_probability,
                 "within_tolerance": c.within_tolerance,
             }
             for c in w.conditions
@@ -362,27 +360,21 @@ def certificate_tree(cert: LhvCertificate, table: JointProbabilityTable) -> dict
     return tree
 
 
-def _print_machine(tree) -> None:
-    print(machine_dumps(tree))
-
-
 def cmd_schmidt(args) -> int:
     v = load_state(args.state)
     split = _split_for(args, v)
     d = schmidt_decompose(v, split)
     pairs = distinct_weight_pairs(d, args.eps_deg)
     if args.format == "machine":
-        _print_machine(
-            {
-                "command": "schmidt",
-                "state": args.state,
-                "split": split_display(split),
-                "rank": d.rank,
-                "weights": [float(w) for w in d.weights],
-                "distinct_pairs": [list(p) for p in pairs],
-                "usable_pair": bool(pairs),
-            }
-        )
+        print(machine_dumps({
+            "command": "schmidt",
+            "state": args.state,
+            "split": split_display(split),
+            "rank": d.rank,
+            "weights": [float(w) for w in d.weights],
+            "distinct_pairs": [list(p) for p in pairs],
+            "usable_pair": bool(pairs),
+        }))
         return EXIT_OK
     print(f"state: {args.state}")
     print(f"split: {split_display(split)}")
@@ -423,7 +415,8 @@ def cmd_witness(args) -> int:
     if args.mode == "multipartite":
         w = _multipartite_witness(args, v)
         if args.format == "machine":
-            _print_machine({"command": "witness", "mode": "multipartite", **multiwitness_tree(w)})
+            tree = {"command": "witness", "mode": "multipartite", **multiwitness_tree(w)}
+            print(machine_dumps(tree))
             return EXIT_OK
         if not w.applicable:
             print("verdict: not applicable")
@@ -441,12 +434,12 @@ def cmd_witness(args) -> int:
         print(f"q^2 product: {fmt(w.q_product)}")
         for c in w.conditions:
             mark = "ok" if c.within_tolerance else "FAILED"
-            print(f"  {c.label} = {fmt(c.measured)}   {mark}")
+            print(f"  {c.condition.label} = {fmt(c.value)}   {mark}")
         print(f"combined probability: {fmt(w.combined_probability)}")
         return EXIT_OK
     report = _bipartite_report(args, v)
     if args.format == "machine":
-        _print_machine({"command": "witness", "mode": "bipartite", **witness_tree(report)})
+        print(machine_dumps({"command": "witness", "mode": "bipartite", **witness_tree(report)}))
         return EXIT_OK
     if not report.applicable:
         print("verdict: not applicable")
@@ -465,7 +458,7 @@ def cmd_witness(args) -> int:
     print(f"  closed form = {fmt(report.hardy_closed_form)}")
     print(
         "decomposition residuals: "
-        + " ".join(fmt(r) for r in report.residuals.residuals)
+        + " ".join(fmt(r) for r in report.residuals)
     )
     return EXIT_OK
 
@@ -491,10 +484,10 @@ def cmd_certify(args) -> int:
     table, reason = _certify_table(args, v)
     if table is None:
         if args.format == "machine":
-            _print_machine(
-                {"command": "certify", "mode": args.mode,
-                 "verdict": "not-applicable", "reason": reason}
-            )
+            print(machine_dumps({
+                "command": "certify", "mode": args.mode,
+                "verdict": "not-applicable", "reason": reason,
+            }))
         else:
             print("verdict: not applicable (no table to certify)")
             print(f"reason: {reason}")
@@ -507,7 +500,7 @@ def cmd_certify(args) -> int:
         **certificate_tree(cert, table),
     }
     if args.format == "machine":
-        _print_machine(tree)
+        print(machine_dumps(tree))
     elif cert.feasible:
         print("verdict: feasible (a local hidden-variable model reproduces the table)")
         shown = 0
@@ -540,40 +533,38 @@ def cmd_simulate(args) -> int:
     if args.export:
         export_csv(records, args.export)
     if args.format == "machine":
-        _print_machine(
-            {
-                "command": "simulate",
-                "shots": args.shots,
-                "seed": args.seed,
-                "schedule": [list(p) for p in DEFAULT_SCHEDULE],
-                "sigma": freq.sigma,
-                "export": args.export,
-                "conditions": [
-                    {
-                        "label": c.condition.label,
-                        "expect_zero": c.condition.expect_zero,
-                        "count": c.count,
-                        "pair_shots": c.pair_shots,
-                        "frequency": c.frequency,
-                        "exact": c.exact,
-                        "passed": c.passed,
-                    }
-                    for c in freq.conditions
-                ],
-                "cells": [
-                    {
-                        "settings": list(c.settings),
-                        "outcomes": list(c.outcomes),
-                        "count": c.count,
-                        "pair_shots": c.pair_shots,
-                        "frequency": c.frequency,
-                        "exact": c.exact,
-                        "std_error": c.std_error,
-                    }
-                    for c in freq.cells
-                ],
-            }
-        )
+        print(machine_dumps({
+            "command": "simulate",
+            "shots": args.shots,
+            "seed": args.seed,
+            "schedule": [list(p) for p in DEFAULT_SCHEDULE],
+            "sigma": freq.sigma,
+            "export": args.export,
+            "conditions": [
+                {
+                    "label": c.condition.label,
+                    "expect_zero": c.condition.expect_zero,
+                    "count": c.count,
+                    "pair_shots": c.pair_shots,
+                    "frequency": c.frequency,
+                    "exact": c.exact,
+                    "passed": c.passed,
+                }
+                for c in freq.conditions
+            ],
+            "cells": [
+                {
+                    "settings": list(c.settings),
+                    "outcomes": list(c.outcomes),
+                    "count": c.count,
+                    "pair_shots": c.pair_shots,
+                    "frequency": c.frequency,
+                    "exact": c.exact,
+                    "std_error": c.std_error,
+                }
+                for c in freq.cells
+            ],
+        }))
         return EXIT_OK
     print(f"shots: {args.shots}   seed: {args.seed}")
     for c in freq.conditions:
@@ -603,15 +594,13 @@ def cmd_scan(args) -> int:
         t = k / (n_rows + 1)
         sample_rows.append((t, hardy_probability(t**0.5, (1 - t) ** 0.5)))
     if args.format == "machine":
-        _print_machine(
-            {
-                "command": "scan",
-                "grid": args.grid,
-                "max_probability": best_value,
-                "argmax_p1_squared": best_t,
-                "table": [{"p1_squared": t, "probability": p} for t, p in sample_rows],
-            }
-        )
+        print(machine_dumps({
+            "command": "scan",
+            "grid": args.grid,
+            "max_probability": best_value,
+            "argmax_p1_squared": best_t,
+            "table": [{"p1_squared": t, "probability": p} for t, p in sample_rows],
+        }))
         return EXIT_OK
     print(f"grid: {args.grid}")
     print("p1^2         probability")

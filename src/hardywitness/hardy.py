@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePair, NonPositiveWeight, NumericalFailure
+from .errors import DegeneratePair, NonPositiveWeight, NumericalFailure, TooLarge
 from .schmidt import SchmidtDecomposition, schmidt_decompose
 from .states import Bipartition, StateVector, reshape_bipartite
 
@@ -37,6 +37,9 @@ CLOSED_FORM_TOL = 1e-9
 # maximum ((sqrt(5) - 1) / 2)^5.  The closed form is homogeneous of degree 2,
 # so hardy_probability(p1, p2) <= HARDY_MAX * (p1^2 + p2^2) up to rounding.
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
+# Most grid points one scan may take: the grid costs 48 bytes per point, and
+# the refinement only needs the grid to bracket the maximum.
+GRID_CAP = 10**7
 
 
 def hardy_probability(p1: float, p2: float) -> float:
@@ -56,10 +59,13 @@ def max_hardy_probability_qubit(grid: int = 10**6) -> tuple[float, float]:
 
     Sweeps the squared first weight over a uniform grid in (0, 1), then
     refines around the best grid point by golden-section search.  Returns
-    ``(best_p1_squared, best_probability)``.
+    ``(best_p1_squared, best_probability)``.  More than ``GRID_CAP`` points
+    raise ``TooLarge`` before anything is allocated.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    if grid > GRID_CAP:
+        raise TooLarge(f"{grid} grid points exceed the cap of {GRID_CAP}")
     t = np.arange(1, grid + 1, dtype=float) / (grid + 1)
     p1 = np.sqrt(t)
     p2 = np.sqrt(1.0 - t)
@@ -130,22 +136,12 @@ def choose_pair(d: SchmidtDecomposition, eps_deg: float = DEFAULT_EPS_DEG) -> tu
     return None, "all Schmidt weights equal within eps_deg"
 
 
-@dataclass(frozen=True)
-class HardyRotations:
-    """The two 2x2 unitaries of the construction for a weight pair.
+def build_unitaries(p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two 2x2 unitaries of the construction for positive weights p1, p2.
 
-    ``x_from_schmidt`` maps the Schmidt pair to the x basis on either side;
-    ``y_from_x`` maps the x basis to the y basis.
+    Returns ``(x_from_schmidt, y_from_x)``: the first maps the Schmidt pair
+    to the x basis on either side, the second maps the x basis to the y basis.
     """
-
-    x_from_schmidt: np.ndarray
-    y_from_x: np.ndarray
-    p1: float
-    p2: float
-
-
-def build_unitaries(p1: float, p2: float) -> HardyRotations:
-    """Construct the basis rotations for strictly positive weights p1, p2."""
     if p1 <= 0 or p2 <= 0:
         raise NonPositiveWeight(f"weights must be positive, got ({p1}, {p2})")
     u = np.array(
@@ -165,12 +161,12 @@ def build_unitaries(p1: float, p2: float) -> HardyRotations:
     ) / denom
     u.setflags(write=False)
     v.setflags(write=False)
-    return HardyRotations(u, v, p1, p2)
+    return u, v
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Ternary local observable: two marked unit eigenvectors plus a rest bin.
+    """Local observable: one marked unit eigenvector per nonzero outcome, plus a rest bin.
 
     ``outcome_vectors`` pairs each nonzero outcome with its eigenvector; the
     outcome 0 belongs to the orthogonal complement of all listed vectors and
@@ -178,7 +174,6 @@ class Observable:
     """
 
     label: str
-    side: int
     outcome_vectors: tuple[tuple[int, np.ndarray], ...]
 
     @property
@@ -199,13 +194,15 @@ class Observable:
 
 @dataclass(frozen=True)
 class HardyConstruction:
-    """Everything derived from one Schmidt decomposition and weight pair."""
+    """Everything derived from one Schmidt decomposition and weight pair.
+
+    ``observables`` are X1, Y1 (side 1) and X2, Y2 (side 2), in that order.
+    """
 
     schmidt: SchmidtDecomposition
     pair: tuple[int, int]
     p1: float
     p2: float
-    rotations: HardyRotations
     observables: tuple[Observable, Observable, Observable, Observable]
 
     @property
@@ -251,21 +248,21 @@ def build_construction(
         raise DegeneratePair(
             f"weights {p1!r} and {p2!r} agree within eps_deg={eps_deg!r}"
         )
-    rot = build_unitaries(p1, p2)
-    yu = rot.y_from_x @ rot.x_from_schmidt
+    x_from_schmidt, y_from_x = build_unitaries(p1, p2)
+    yu = y_from_x @ x_from_schmidt
     a1, a2 = d.left_vectors[:, i], d.left_vectors[:, j]
     b1, b2 = d.right_vectors[:, i], d.right_vectors[:, j]
-    x_plus_1, x_minus_1 = _rotated_pair(rot.x_from_schmidt, a1, a2)
+    x_plus_1, x_minus_1 = _rotated_pair(x_from_schmidt, a1, a2)
     y_plus_1, y_minus_1 = _rotated_pair(yu, a1, a2)
-    x_plus_2, x_minus_2 = _rotated_pair(rot.x_from_schmidt, b1, b2)
+    x_plus_2, x_minus_2 = _rotated_pair(x_from_schmidt, b1, b2)
     y_plus_2, y_minus_2 = _rotated_pair(yu, b1, b2)
     observables = (
-        Observable("X1", 1, ((1, x_plus_1), (-1, x_minus_1))),
-        Observable("Y1", 1, ((1, y_plus_1), (-1, y_minus_1))),
-        Observable("X2", 2, ((1, x_plus_2), (-1, x_minus_2))),
-        Observable("Y2", 2, ((1, y_plus_2), (-1, y_minus_2))),
+        Observable("X1", ((1, x_plus_1), (-1, x_minus_1))),
+        Observable("Y1", ((1, y_plus_1), (-1, y_minus_1))),
+        Observable("X2", ((1, x_plus_2), (-1, x_minus_2))),
+        Observable("Y2", ((1, y_plus_2), (-1, y_minus_2))),
     )
-    return HardyConstruction(d, (i, j), p1, p2, rot, observables)
+    return HardyConstruction(d, (i, j), p1, p2, observables)
 
 
 @dataclass(frozen=True)
@@ -420,10 +417,10 @@ def joint_table(v: StateVector, construction: HardyConstruction) -> JointProbabi
 
 @dataclass(frozen=True)
 class HardyCondition:
-    """One joint-outcome condition of the test."""
+    """One joint-outcome condition of the test: a setting and an outcome per party."""
 
-    settings: tuple[str, str]
-    outcomes: tuple[int, int]
+    settings: tuple[str, ...]
+    outcomes: tuple[int, ...]
     expect_zero: bool
 
     @property
@@ -457,21 +454,10 @@ class ConditionValue:
     within_tolerance: bool
 
 
-@dataclass(frozen=True)
-class DecompositionResiduals:
-    """Max-norm residuals of the three equivalent expansions of the state."""
-
-    residuals: tuple[float, float, float]
-
-    @property
-    def worst(self) -> float:
-        return max(self.residuals)
-
-
 def verify_equivalent_decompositions(
     v: StateVector, construction: HardyConstruction
-) -> DecompositionResiduals:
-    """Re-expand the state in the three rotated forms and compare."""
+) -> tuple[float, float, float]:
+    """Max-norm residuals of the state's re-expansion in the three rotated forms."""
     d = construction.schmidt
     i, j = construction.pair
     p1, p2 = construction.p1, construction.p2
@@ -502,10 +488,7 @@ def verify_equivalent_decompositions(
         + root_mixed * np.outer(x_minus_1, y_minus_2)
         + tail
     )
-    residuals = tuple(
-        float(np.max(np.abs(form - m))) for form in (form1, form2, form3)
-    )
-    return DecompositionResiduals(residuals)
+    return tuple(float(np.max(np.abs(form - m))) for form in (form1, form2, form3))
 
 
 @dataclass(frozen=True)
@@ -524,7 +507,7 @@ class WitnessReport:
     zero_values: tuple[ConditionValue, ...] = ()
     hardy_measured: float | None = None
     hardy_closed_form: float | None = None
-    residuals: DecompositionResiduals | None = None
+    residuals: tuple[float, float, float] | None = None
     table: JointProbabilityTable | None = None
     construction: HardyConstruction | None = None
 

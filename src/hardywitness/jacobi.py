@@ -1,8 +1,8 @@
 """Cyclic Jacobi diagonalization for complex Hermitian matrices.
 
 Each rotation annihilates one off-diagonal pair with a complex Givens
-rotation; sweeps repeat until every off-diagonal magnitude drops below the
-requested threshold.  Convergence is quadratic, so a handful of sweeps is
+rotation; sweeps repeat until every off-diagonal magnitude drops below
+:data:`OFF_TOL`.  Convergence is quadratic, so a handful of sweeps is
 enough at the matrix sizes used here (Gram matrices of unit-norm states,
 dimension well under 100).
 """
@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, NumericalFailure
 # Off-diagonal magnitudes below this count as converged.  The threshold is
 # absolute and assumes unit-scale input (trace ~ 1), which holds for the
 # Gram matrices this package feeds in.
-DEFAULT_OFF_TOL = 1e-13
+OFF_TOL = 1e-13
 MAX_SWEEPS = 100
 
 
@@ -62,9 +62,7 @@ def _rotate(buf: np.ndarray, p: int, q: int) -> None:
     buf[q, q] = buf[q, q].real
 
 
-def hermitian_eigensystem(
-    matrix, off_tol: float = DEFAULT_OFF_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
 
     Returns ``(eigenvalues, vectors)`` with eigenvalues in diagonal order
@@ -83,11 +81,11 @@ def hermitian_eigensystem(
     v = buf[n:]
     for _ in range(MAX_SWEEPS):
         off = float(np.max(np.abs(a - np.diag(np.diag(a)))))
-        if off < off_tol:
+        if off < OFF_TOL:
             return np.real(np.diag(a)).copy(), v.copy()
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(a[p, q]) >= off_tol:
+                if abs(a[p, q]) >= OFF_TOL:
                     _rotate(buf, p, q)
     raise NumericalFailure(
         f"Jacobi diagonalization did not converge within {MAX_SWEEPS} sweeps"

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, TooLarge
-from .hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, JointProbabilityTable
+from .hardy import (
+    FLAGGED_CONDITION,
+    SIDE1_SETTINGS,
+    SIDE2_SETTINGS,
+    TERNARY_OUTCOMES,
+    ZERO_CONDITIONS,
+    JointProbabilityTable,
+)
 from .simplex import FEAS_TOL, solve_equality_feasibility
 
 STRATEGY_CAP = 10**6
@@ -72,8 +79,7 @@ def enumerate_strategies(
         tuple(itertools.product(outs, repeat=s)) for s, outs in zip(counts, alphabets)
     ]
     return tuple(
-        DeterministicStrategy(tuple(assignment))
-        for assignment in itertools.product(*per_party)
+        DeterministicStrategy(assignment) for assignment in itertools.product(*per_party)
     )
 
 
@@ -255,11 +261,22 @@ class ContradictionTrace:
     least one zero condition, i.e. when no local mixture can work.
     """
 
-    contradiction: bool
     flagged_value: float
     rows: tuple[StrategyClassification, ...]
-    n_targeting: int
-    n_surviving_targeting: int
+
+    @property
+    def n_targeting(self) -> int:
+        """Strategies that produce the flagged outcome."""
+        return sum(row.targets_flagged for row in self.rows)
+
+    @property
+    def n_surviving_targeting(self) -> int:
+        """Strategies that produce the flagged outcome and violate no zero condition."""
+        return sum(row.targets_flagged and not row.violated for row in self.rows)
+
+    @property
+    def contradiction(self) -> bool:
+        return self.flagged_value > FLAGGED_VALUE_TOL and self.n_surviving_targeting == 0
 
 
 def verify_no_deterministic_model(flagged_value: float) -> ContradictionTrace:
@@ -271,16 +288,16 @@ def verify_no_deterministic_model(flagged_value: float) -> ContradictionTrace:
     zero conditions never produce the flagged outcome, so a required positive
     flagged probability is a contradiction.
     """
-    strategies = enumerate_strategies([2, 2], [(1, -1, 0), (1, -1, 0)])
-    side_settings = (("X1", "Y1"), ("X2", "Y2"))
+    side_settings = (SIDE1_SETTINGS, SIDE2_SETTINGS)
+    strategies = enumerate_strategies(
+        [len(s) for s in side_settings], [TERNARY_OUTCOMES, TERNARY_OUTCOMES]
+    )
 
     def outcome_of(strategy, label):
         party = 0 if label in side_settings[0] else 1
         return strategy.outcome(party, side_settings[party].index(label))
 
     rows = []
-    n_targeting = 0
-    n_surviving_targeting = 0
     for strategy in strategies:
         violated = tuple(
             c.label
@@ -298,16 +315,5 @@ def verify_no_deterministic_model(flagged_value: float) -> ContradictionTrace:
             region = "A"
         else:
             region = "B"
-        if targets:
-            n_targeting += 1
-            if not violated:
-                n_surviving_targeting += 1
         rows.append(StrategyClassification(strategy, targets, violated, region))
-    contradiction = flagged_value > FLAGGED_VALUE_TOL and n_surviving_targeting == 0
-    return ContradictionTrace(
-        contradiction,
-        flagged_value,
-        tuple(rows),
-        n_targeting,
-        n_surviving_targeting,
-    )
+    return ContradictionTrace(flagged_value, tuple(rows))

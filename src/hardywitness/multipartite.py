@@ -45,16 +45,19 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .hardy import (
+    CLOSED_FORM_TOL,
     DEFAULT_EPS_DEG,
     DEFAULT_ZERO_TOL,
     FLAGGED_CONDITION,
     HARDY_MAX,
+    TERNARY_OUTCOMES,
     ZERO_CONDITIONS,
+    ConditionValue,
+    HardyCondition,
     JointProbabilityTable,
     Observable,
     WitnessReport,
     choose_pair,
-    entry_label,
     hardy_probability,
     make_witness_report,
 )
@@ -66,7 +69,6 @@ from .states import (
     apply_local_projector,
 )
 
-COMBINED_TOL = 1e-9
 # Widens the branch cap q^2 * HARDY_MAX of the search's bound to cover
 # rounding: marked q^2 multiplied top-down against bottom-up, and weights
 # whose squares sum to slightly more than 1.
@@ -88,10 +90,13 @@ class PeelStep:
 
     subsystem: int  # original 0-based index
     weights: tuple[float, ...]
-    vectors: tuple[np.ndarray, ...]
     marked: int
-    marked_eigenvalue: int
     observable: Observable
+
+    @property
+    def marked_eigenvalue(self) -> int:
+        """The T observable's eigenvalue of the marked branch (see build_t_observable)."""
+        return self.marked + 1
 
 
 def peel(v: StateVector, subsystem: int) -> tuple[PeelBranch, ...]:
@@ -129,7 +134,7 @@ def build_t_observable(
     complement of the branch vectors.
     """
     vectors = tuple((k + 1, br.particle_vector) for k, br in enumerate(branches))
-    return Observable(f"T{subsystem + 1}", subsystem + 1, vectors)
+    return Observable(f"T{subsystem + 1}", vectors)
 
 
 def _recurse(
@@ -197,21 +202,10 @@ def _recurse(
     step = PeelStep(
         subsystem=target,
         weights=tuple(b.weight for b in branches),
-        vectors=tuple(b.particle_vector for b in branches),
         marked=k,
-        marked_eigenvalue=k + 1,
         observable=build_t_observable(branches, target),
     )
     return (step,) + sub_steps, leaf, q_sq * sub_qprod, q_sq * sub_combined
-
-
-@dataclass(frozen=True)
-class MultiConditionValue:
-    label: str
-    expect_zero: bool
-    measured: float
-    predicted: float
-    within_tolerance: bool
 
 
 @dataclass(frozen=True)
@@ -226,19 +220,21 @@ class MultipartiteWitness:
     final_report: WitnessReport | None = None
     q_product: float | None = None
     combined_probability: float | None = None
-    conditions: tuple[MultiConditionValue, ...] = ()
+    conditions: tuple[ConditionValue, ...] = ()
 
 
 def _chain(n: int, construction, final_subsystems, steps) -> tuple:
     """Each party's single-subsystem split and {setting label: observable} map.
 
     Parties are ordered as in :func:`multipartite_table`: the final pair's
-    sides 1 and 2, then the peeled subsystems in peel order, each with its
-    single T observable.
+    sides 1 and 2 (X1, Y1 and X2, Y2, the construction's observables in
+    order), then the peeled subsystems in peel order, each with its single T
+    observable.
     """
+    x1, y1, x2, y2 = construction.observables
     parties = [
-        (subsystem, {obs.label: obs for obs in construction.observables if obs.side == side})
-        for side, subsystem in enumerate(final_subsystems, 1)
+        (final_subsystems[0], {x1.label: x1, y1.label: y1}),
+        (final_subsystems[1], {x2.label: x2, y2.label: y2}),
     ]
     parties += [(s.subsystem, {s.observable.label: s.observable}) for s in steps]
     return tuple(
@@ -281,26 +277,26 @@ def _entry_probability(v: StateVector, chain, settings, outcomes, memo: dict) ->
 
 def _evaluate_conditions(
     v: StateVector, chain, steps: tuple[PeelStep, ...], combined: float, zero_tol: float
-) -> tuple[MultiConditionValue, ...]:
+) -> tuple[ConditionValue, ...]:
+    """The six conditions, each widened by every peeled party's marked outcome."""
     values = []
     t_settings = tuple(s.observable.label for s in steps)
     t_outcomes = tuple(s.marked_eigenvalue for s in steps)
     memo: dict = {}
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
-        settings, outcomes = cond.settings + t_settings, cond.outcomes + t_outcomes
-        measured = _entry_probability(v, chain, settings, outcomes, memo)
-        label = entry_label(settings, outcomes)
+        joint = HardyCondition(
+            cond.settings + t_settings, cond.outcomes + t_outcomes, cond.expect_zero
+        )
+        measured = _entry_probability(v, chain, joint.settings, joint.outcomes, memo)
         if cond.expect_zero:
             ok = measured < zero_tol
-            predicted = 0.0
         else:
-            predicted = combined
-            ok = abs(measured - predicted) < COMBINED_TOL
-        values.append(MultiConditionValue(label, cond.expect_zero, measured, predicted, ok))
+            ok = abs(measured - combined) < CLOSED_FORM_TOL
+        values.append(ConditionValue(joint, measured, ok))
         if not ok:
             raise NumericalFailure(
-                f"joint condition {label} measured {measured!r}, "
-                f"expected {'0' if cond.expect_zero else repr(predicted)}"
+                f"joint condition {joint.label} measured {measured!r}, "
+                f"expected {'0' if cond.expect_zero else repr(combined)}"
             )
     return tuple(values)
 
@@ -393,10 +389,10 @@ def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointPro
         len(v.dims), witness.final_report.construction, witness.final_subsystems, witness.steps
     )
     party_settings = tuple(tuple(observables) for _, observables in chain)
-    party_outcomes: list[tuple[int, ...]] = [(1, -1, 0), (1, -1, 0)]
+    party_outcomes: list[tuple[int, ...]] = [TERNARY_OUTCOMES, TERNARY_OUTCOMES]
     for step in witness.steps:
-        outcomes = tuple(range(1, len(step.vectors) + 1))
-        if len(step.vectors) < v.dims[step.subsystem]:
+        outcomes = tuple(range(1, len(step.weights) + 1))
+        if len(step.weights) < v.dims[step.subsystem]:
             outcomes += (0,)
         party_outcomes.append(outcomes)
     memo: dict = {}

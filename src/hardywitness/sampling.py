@@ -141,8 +141,9 @@ def sample_from_table(
     taken at all.
 
     Only two-party tables can be sampled; a table of any other number of
-    parties raises ``ValueError``.  More than ``SHOT_CAP`` shots raise
-    ``TooLarge`` before anything is allocated.
+    parties raises ``ValueError``, and so does a scheduled row with a
+    non-finite entry or no positive entry.  More than ``SHOT_CAP`` shots
+    raise ``TooLarge``.  Both are checked before anything is allocated.
     """
     if table.n_parties != 2:
         raise ValueError(
@@ -163,12 +164,19 @@ def sample_from_table(
             raise ValueError(f"schedule entry {pair} is not a setting choice")
     outcome_pairs = tuple(table.outcome_tuples())
     n_pairs = len(outcome_pairs)
-    rows = [table.probs[table.index(pair)].ravel() for pair in schedule]
-    # The first edge above u is also the first running maximum above u, and
-    # searchsorted needs sorted edges (a table may hold tiny negative entries).
-    edges = [np.maximum.accumulate(np.cumsum(row)) for row in rows]
-    # u landed beyond the (~1.0) last edge: take the last positive entry
-    beyond = [int(np.flatnonzero(row > 0.0)[-1]) for row in rows]
+    edges, beyond = [], []
+    for pair in schedule:
+        row = table.probs[table.index(pair)].ravel()
+        if not np.isfinite(row).all():
+            raise ValueError(f"setting pair {pair} has a non-finite table entry")
+        positive = np.flatnonzero(row > 0.0)
+        if not positive.size:
+            raise ValueError(f"setting pair {pair} has no positive table entry")
+        # The first edge above u is also the first running maximum above u, and
+        # searchsorted needs sorted edges (a table may hold tiny negative entries).
+        edges.append(np.maximum.accumulate(np.cumsum(row)))
+        # u landed beyond the (~1.0) last edge: take the last positive entry
+        beyond.append(int(positive[-1]))
     period = len(schedule)
     cells = np.empty(shots, dtype=np.min_scalar_type(period * n_pairs - 1))
     for start in range(0, shots, CHUNK):

@@ -34,12 +34,13 @@ def parse_state_text(text: str, source: str = "<string>") -> StateVector:
             raise ParseError(f"{source}: missing field {field!r}")
     dims = doc["dims"]
     amps = doc["amps"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    # exact types: a JSON true/false loads as bool, a subclass of int
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise ParseError(f"{source}: dims must be a list of integers")
     if not isinstance(amps, list) or not all(
         isinstance(a, list)
         and len(a) == 2
-        and all(isinstance(x, (int, float)) for x in a)
+        and all(type(x) in (int, float) for x in a)
         for a in amps
     ):
         raise ParseError(f"{source}: amps must be a list of [re, im] pairs")

@@ -7,6 +7,7 @@ import pytest
 import hardywitness as hw
 from hardywitness import cli
 from hardywitness.cli import main, machine_dumps, parse_split
+from hardywitness.hardy import GRID_CAP
 from hardywitness.sampling import SHOT_CAP
 
 SPLIT = hw.Bipartition((0,), (1,))
@@ -363,6 +364,19 @@ class TestScanCommand:
 
     def test_grid_too_small(self, capsys):
         assert main(["scan", "--grid", "1"]) == 1
+
+    def test_grid_past_cap_fails_cleanly_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--grid", str(GRID_CAP + 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {GRID_CAP + 1} grid points exceed the cap of {GRID_CAP}\n"
+        assert peak < 2**20
 
 
 class TestExitCodes:

@@ -88,13 +88,12 @@ class TestClosedForm:
 
 class TestUnitaries:
     def test_swap_forced_at_equal_weights(self):
-        rot = hw.build_unitaries(2**-0.5, 2**-0.5)
-        assert np.array_equal(rot.y_from_x, np.array([[0, 1], [1, 0]], dtype=complex))
+        _, y_from_x = hw.build_unitaries(2**-0.5, 2**-0.5)
+        assert np.array_equal(y_from_x, np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_known_entries(self):
         p1, p2 = 0.8**0.5, 0.2**0.5
-        rot = hw.build_unitaries(p1, p2)
-        u = rot.x_from_schmidt
+        u, _ = hw.build_unitaries(p1, p2)
         assert abs(u[0, 0] - 1 / 3**0.5) < 1e-12
         assert abs(u[0, 1] - (-1j) * (2 / 3) ** 0.5) < 1e-12
         assert abs(u[1, 0] - (-1j) * (2 / 3) ** 0.5) < 1e-12
@@ -102,8 +101,7 @@ class TestUnitaries:
 
     @given(positive_weight, positive_weight)
     def test_unitarity(self, p1, p2):
-        rot = hw.build_unitaries(p1, p2)
-        for m in (rot.x_from_schmidt, rot.y_from_x):
+        for m in hw.build_unitaries(p1, p2):
             assert np.max(np.abs(m @ m.conj().T - np.eye(2))) < 1e-12
 
     def test_rejects_nonpositive(self):
@@ -210,7 +208,7 @@ class TestEquivalentDecompositions:
                 if not report.applicable:
                     continue
                 res = hw.verify_equivalent_decompositions(v, report.construction)
-                assert res.worst < 1e-9
+                assert max(res) < 1e-9
 
 
 class TestJointTable:

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hardywitness.errors import DimensionMismatch
-from hardywitness.jacobi import DEFAULT_OFF_TOL, MAX_SWEEPS, hermitian_eigensystem
+from hardywitness.jacobi import MAX_SWEEPS, OFF_TOL, hermitian_eigensystem
 
 from conftest import random_unitary
 
@@ -100,11 +100,11 @@ def reference_eigensystem(matrix):
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
     for _ in range(MAX_SWEEPS):
-        if np.max(np.abs(a - np.diag(np.diag(a)))) < DEFAULT_OFF_TOL:
+        if np.max(np.abs(a - np.diag(np.diag(a)))) < OFF_TOL:
             return np.real(np.diag(a)).copy(), v
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(a[p, q]) >= DEFAULT_OFF_TOL:
+                if abs(a[p, q]) >= OFF_TOL:
                     _reference_rotate(a, v, p, q)
     raise AssertionError("reference did not converge")
 

@@ -130,10 +130,11 @@ class TestMultipartiteWitness:
         assert abs(w.q_product - 0.5) < 1e-12
         assert abs(w.combined_probability - 2 / 45) < 1e-9
         flagged = w.conditions[-1]
-        assert not flagged.expect_zero
-        assert abs(flagged.measured - 2 / 45) < 1e-9
+        assert flagged.condition.label == "P(Y1=+1, Y2=+1, T3=1)"
+        assert not flagged.condition.expect_zero
+        assert abs(flagged.value - 2 / 45) < 1e-9
         for c in w.conditions[:-1]:
-            assert c.expect_zero and c.measured < 1e-10
+            assert c.condition.expect_zero and c.value < 1e-10
 
     def test_ghz3_not_applicable(self):
         w = hw.multipartite_witness(hw.ghz_state(3))
@@ -238,7 +239,7 @@ class TestMultipartiteWitness:
         assert abs(w.q_product - 0.42) < 1e-12
         assert abs(w.combined_probability - 0.42 * 4 / 45) < 1e-9
         flagged = w.conditions[-1]
-        assert abs(flagged.measured - 0.42 * 4 / 45) < 1e-9
+        assert abs(flagged.value - 0.42 * 4 / 45) < 1e-9
         table = hw.multipartite_table(v, w)
         assert len(table.entries) == 4 * 3 * 3 * 2 * 2
         cert = hw.certify(table)
@@ -347,7 +348,7 @@ def _assert_matches_oracle(v, witness, orders):
         _oracle_measured(v, steps, final, report, cond)
         for cond in hw.ZERO_CONDITIONS + (hw.FLAGGED_CONDITION,)
     ]
-    assert [c.measured for c in witness.conditions] == expected
+    assert [c.value for c in witness.conditions] == expected
 
 
 def _w_state(n):
@@ -484,9 +485,7 @@ def _unpruned_recurse(v, labels, order, eps_deg, peels, path=()):
     step = hw.PeelStep(
         subsystem=target,
         weights=tuple(b.weight for b in branches),
-        vectors=tuple(b.particle_vector for b in branches),
         marked=k,
-        marked_eigenvalue=k + 1,
         observable=hw.build_t_observable(branches, target),
     )
     q_sq = br.weight * br.weight

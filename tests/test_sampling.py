@@ -191,6 +191,25 @@ class TestSample:
         with pytest.raises(ValueError, match="schedule must not be empty"):
             sample_from_table(report_08_02.table, 10, 1, schedule=[])
 
+    @pytest.mark.parametrize(
+        "index, value, message",
+        [
+            ((0, 0, 0, 1), np.nan, "a non-finite table entry"),
+            ((0, 0), 0.0, "no positive table entry"),
+            ((0, 0), np.nan, "a non-finite table entry"),
+        ],
+        ids=["nan_entry", "all_zero_row", "all_nan_row"],
+    )
+    def test_rejects_rows_it_cannot_draw_from(self, report_08_02, index, value, message):
+        # a table built directly skips check(), so sampling checks its rows
+        probs = report_08_02.table.probs.copy()
+        probs[index] = value
+        table = hw.JointProbabilityTable(
+            report_08_02.table.party_settings, report_08_02.table.party_outcomes, probs
+        )
+        with pytest.raises(ValueError, match=rf"\('X1', 'X2'\) has {message}"):
+            sample_from_table(table, 2000, 3)
+
     def test_rejects_tables_that_are_not_two_party(self, tripartite_example):
         witness = hw.multipartite_witness(tripartite_example)
         table = hw.multipartite_table(tripartite_example, witness)

@@ -35,6 +35,18 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="dims"):
             hw.parse_state_text('{"dims": [2.5], "amps": [[1, 0], [0, 0]]}')
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"dims": [2, 2], "amps": [[true, false], [0, 0], [0, 0], [1, 0]]}', "amps"),
+            ('{"dims": [2, true], "amps": [[1, 0], [0, 0]]}', "dims"),
+        ],
+        ids=["amps", "dims"],
+    )
+    def test_booleans_are_not_numbers(self, text, field):
+        with pytest.raises(ParseError, match=f"{field} must be a list of"):
+            hw.parse_state_text(text)
+
     def test_amps_not_pairs(self):
         with pytest.raises(ParseError, match="amps"):
             hw.parse_state_text('{"dims": [2], "amps": [1, 0]}')
