@@ -152,8 +152,11 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
     slice and keeps the normalization row, so its LP is the dense one.
     Each slice's evidence is verified against that slice's own data before
     anything is returned; failing that verification raises, since it means
-    the solver (not the physics) broke.
+    the solver (not the physics) broke.  A table with a non-finite entry
+    raises ``ValueError`` before any LP is built.
     """
+    if not np.isfinite(table.probs).all():
+        raise ValueError("cannot certify a table with a non-finite entry")
     strategies = strategies_for_table(table)
     n = table.n_parties
     single = [p for p in range(n) if len(table.party_settings[p]) == 1]

@@ -31,9 +31,11 @@ instead of 480; the default order makes 7 peel calls and one report.
 
 Each table (and each witness's condition values) builds its measurement
 chain once: every party's single-subsystem split and its setting-to-observable
-map.  The entries share their projector chains: each prefix of (setting,
-outcome) choices is projected once per table, so the 288 entries of a
-5-qubit table take 254 local projections instead of 864.
+map.  One depth-first walk over the chain fills the table: each prefix of
+(setting, outcome) choices is projected once, and the last party, a peeled
+one with a single setting, gets outcome probabilities only, with no residual
+state.  The 288 entries of a 5-qubit table take 126 state projections and 128
+probability-only evaluations instead of 864 projections.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ from .states import (
     StateVector,
     apply_local_complement,
     apply_local_projector,
+    complement_side1,
+    project_side1,
+    reshape_bipartite,
 )
 
 # Widens the branch cap q^2 * HARDY_MAX of the search's bound to cover
@@ -243,36 +248,55 @@ def _chain(n: int, construction, final_subsystems, steps) -> tuple:
     )
 
 
-def _entry_probability(v: StateVector, chain, settings, outcomes, memo: dict) -> float:
-    """Probability of one joint outcome of the final pair and the peeled parties.
+def _chain_probabilities(v: StateVector, chain, party_settings, party_outcomes) -> np.ndarray:
+    """Joint outcome probabilities of the final pair and the peeled parties.
 
-    Outcome 0 projects onto the orthogonal complement of the observable's
-    marked vectors.  Projectors on distinct subsystems commute, so the chain
-    rule over normalized residuals applies.
-
-    ``memo`` maps a chain prefix ``(settings[:i + 1], outcomes[:i + 1])`` to
-    its (running total, residual), so entries that share a prefix project it
-    once.  Each entry still gets the float operations of its own chain, in
-    the same order.
+    Returns an array with one setting axis per party followed by one outcome
+    axis per party, as :class:`JointProbabilityTable` stores them.  One
+    depth-first walk over the chain projects each (setting, outcome) prefix
+    once and carries its running product of probabilities.  Outcome 0
+    projects onto the orthogonal complement of the observable's marked
+    vectors.  Projectors on distinct subsystems commute, so the chain rule
+    over normalized residuals applies.  A prefix whose probability is at
+    ``PROJECTION_FLOOR`` leaves no residual, and its whole sub-block gets its
+    running product.  The last party (a peeled one, with a single setting) is
+    reshaped once per prefix and only its outcome probabilities are
+    computed.  Each entry gets the float operations of its own chain, in the
+    same order.
     """
-    total = 1.0
-    current: StateVector | None = v
-    for i, ((split, observables), outcome) in enumerate(zip(chain, outcomes)):
-        key = (settings[: i + 1], outcomes[: i + 1])
-        hit = memo.get(key)
-        if hit is not None:
-            total, current = hit
-        else:
-            obs = observables[settings[i]]
-            if outcome == 0:
-                prob, current = apply_local_complement(current, split, obs.marked_vectors())
-            else:
-                prob, current = apply_local_projector(current, split, obs.vector(outcome))
-            total *= prob
-            memo[key] = (total, current)
-        if current is None:
-            break
-    return total
+    n = len(chain)
+    probs = np.empty([len(s) for s in party_settings] + [len(o) for o in party_outcomes])
+    # the walk's axis order: (setting, outcome) of party 1, of party 2, ...
+    walk = probs.transpose([a for k in range(n) for a in (k, n + k)])
+    last_split, last_observables = chain[-1]
+    (last_setting,) = party_settings[-1]
+    last = last_observables[last_setting]
+
+    def visit(state: StateVector, depth: int, total: float, index: tuple[int, ...]) -> None:
+        if depth == n - 1:
+            m = reshape_bipartite(state, last_split)
+            for j, outcome in enumerate(party_outcomes[-1]):
+                if outcome == 0:
+                    prob = complement_side1(m, last.marked_vectors())[0]
+                else:
+                    prob = project_side1(m, last.vector(outcome))[0]
+                walk[index + (0, j)] = total * prob
+            return
+        split, observables = chain[depth]
+        for i, setting in enumerate(party_settings[depth]):
+            obs = observables[setting]
+            for j, outcome in enumerate(party_outcomes[depth]):
+                if outcome == 0:
+                    prob, residual = apply_local_complement(state, split, obs.marked_vectors())
+                else:
+                    prob, residual = apply_local_projector(state, split, obs.vector(outcome))
+                if residual is None:
+                    walk[index + (i, j)] = total * prob
+                else:
+                    visit(residual, depth + 1, total * prob, index + (i, j))
+
+    visit(v, 0, 1.0, ())
+    return probs
 
 
 def _evaluate_conditions(
@@ -282,12 +306,13 @@ def _evaluate_conditions(
     values = []
     t_settings = tuple(s.observable.label for s in steps)
     t_outcomes = tuple(s.marked_eigenvalue for s in steps)
-    memo: dict = {}
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
         joint = HardyCondition(
             cond.settings + t_settings, cond.outcomes + t_outcomes, cond.expect_zero
         )
-        measured = _entry_probability(v, chain, joint.settings, joint.outcomes, memo)
+        measured = _chain_probabilities(
+            v, chain, [(s,) for s in joint.settings], [(o,) for o in joint.outcomes]
+        ).item()
         if cond.expect_zero:
             ok = measured < zero_tol
         else:
@@ -395,12 +420,7 @@ def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointPro
         if len(step.weights) < v.dims[step.subsystem]:
             outcomes += (0,)
         party_outcomes.append(outcomes)
-    memo: dict = {}
-    probs = [
-        _entry_probability(v, chain, choice, outcomes, memo)
-        for choice in itertools.product(*party_settings)
-        for outcomes in itertools.product(*party_outcomes)
-    ]
+    probs = _chain_probabilities(v, chain, party_settings, party_outcomes)
     table = JointProbabilityTable(party_settings, tuple(party_outcomes), probs)
     table.check()
     return table

@@ -7,6 +7,7 @@ arrays are write-protected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,18 +76,35 @@ def make_state(dims, amps) -> StateVector:
 
 
 def normalize(v: StateVector) -> StateVector:
-    """Rescale to unit norm; raises :class:`ZeroVector` for null input."""
-    n = np.linalg.norm(v.amps)
+    """Rescale to unit norm.
+
+    Raises :class:`ZeroVector` for null input and :class:`DimensionMismatch`
+    when the norm is not finite (finite amplitudes whose squares overflow).
+    """
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v.amps)
+    if not math.isfinite(n):
+        raise DimensionMismatch(f"cannot normalize a vector of norm {n}")
     if n <= ZERO_NORM_TOL:
         raise ZeroVector(f"cannot normalize a vector of norm {n:.3e}")
     return StateVector(v.dims, _freeze(v.amps / n))
 
 
-def side_dimensions(v: StateVector, split: Bipartition) -> tuple[int, int]:
-    split.check(len(v.dims))
-    d1 = math.prod(v.dims[i] for i in split.side1)
-    d2 = math.prod(v.dims[i] for i in split.side2)
-    return d1, d2
+@functools.lru_cache(maxsize=256)
+def _layout(dims: tuple[int, ...], split: Bipartition):
+    """Index layout of ``split`` over ``dims``, computed once per pair.
+
+    Returns ``(perm, inverse, side_dims, d1, d2)``: the axis order that lists
+    side 1 then side 2, its inverse, the dimensions in that order, and the
+    two side sizes.  Every miss checks the split first.
+    """
+    split.check(len(dims))
+    perm = split.side1 + split.side2
+    inverse = tuple(int(k) for k in np.argsort(perm))
+    side_dims = tuple(dims[i] for i in perm)
+    d1 = math.prod(dims[i] for i in split.side1)
+    d2 = math.prod(dims[i] for i in split.side2)
+    return perm, inverse, side_dims, d1, d2
 
 
 def reshape_bipartite(v: StateVector, split: Bipartition) -> np.ndarray:
@@ -95,20 +113,17 @@ def reshape_bipartite(v: StateVector, split: Bipartition) -> np.ndarray:
     Side indices are flattened row-major in the order the bipartition lists
     them.  The map is a pure index permutation: invertible and norm-preserving.
     """
-    d1, d2 = side_dimensions(v, split)
-    perm = split.side1 + split.side2
+    perm, _, _, d1, d2 = _layout(tuple(v.dims), split)
     tensor = v.amps.reshape(v.dims).transpose(perm)
     return np.ascontiguousarray(tensor).reshape(d1, d2)
 
 
 def matrix_to_state(m: np.ndarray, split: Bipartition, dims: tuple[int, ...]) -> StateVector:
     """Inverse of :func:`reshape_bipartite`; assumes ``m`` already has unit norm."""
-    split.check(len(dims))
-    perm = split.side1 + split.side2
-    inverse = np.argsort(perm)
-    side_dims = tuple(dims[i] for i in perm)
+    dims = tuple(dims)
+    _, inverse, side_dims, _, _ = _layout(dims, split)
     tensor = np.asarray(m, dtype=np.complex128).reshape(side_dims).transpose(inverse)
-    return StateVector(tuple(dims), _freeze(np.ascontiguousarray(tensor).reshape(-1)))
+    return StateVector(dims, _freeze(np.ascontiguousarray(tensor).reshape(-1)))
 
 
 def _check_side_vector(u, expected: int) -> np.ndarray:
@@ -116,6 +131,31 @@ def _check_side_vector(u, expected: int) -> np.ndarray:
     if u.size != expected:
         raise DimensionMismatch(f"projector vector has length {u.size}, expected {expected}")
     return u
+
+
+def project_side1(m: np.ndarray, basis_vector) -> tuple[float, np.ndarray, np.ndarray]:
+    """Project the rows (side 1) of coefficient matrix ``m`` onto a unit vector.
+
+    Returns ``(probability, u, w)``: ``u`` is the checked complex vector and
+    ``w`` the unnormalized side-2 state given the outcome.
+    """
+    u = _check_side_vector(basis_vector, m.shape[0])
+    w = u.conj() @ m
+    return float(np.vdot(w, w).real), u, w
+
+
+def complement_side1(m: np.ndarray, basis_vectors) -> tuple[float, np.ndarray]:
+    """Project the rows of ``m`` onto the orthogonal complement of unit vectors.
+
+    Returns ``(probability, residual)`` with the residual matrix unnormalized.
+    The complement projector is applied implicitly (never materialized), so
+    the cost stays linear in the total dimension.
+    """
+    residual = m.copy()
+    for u in basis_vectors:
+        u = _check_side_vector(u, m.shape[0])
+        residual -= np.outer(u, u.conj() @ m)
+    return float(np.linalg.norm(residual) ** 2), residual
 
 
 def apply_local_projector(
@@ -127,10 +167,7 @@ def apply_local_projector(
     post-projection state, or ``None`` when the probability is at the noise
     floor.  To project side 2, pass ``split.swapped()``.
     """
-    m = reshape_bipartite(v, split)
-    u = _check_side_vector(basis_vector, m.shape[0])
-    w = u.conj() @ m  # unnormalized side-2 state given the side-1 outcome
-    prob = float(np.vdot(w, w).real)
+    prob, u, w = project_side1(reshape_bipartite(v, split), basis_vector)
     if prob <= PROJECTION_FLOOR:
         return prob, None
     return prob, matrix_to_state(np.outer(u, w) / math.sqrt(prob), split, v.dims)
@@ -141,15 +178,9 @@ def apply_local_complement(
 ) -> tuple[float, StateVector | None]:
     """Project side 1 of ``split`` onto the orthogonal complement of unit vectors.
 
-    The complement projector is applied implicitly (never materialized), so
-    the cost stays linear in the total dimension.
+    Returns ``(probability, residual)`` as :func:`apply_local_projector` does.
     """
-    m = reshape_bipartite(v, split)
-    residual = m.copy()
-    for u in basis_vectors:
-        u = _check_side_vector(u, m.shape[0])
-        residual -= np.outer(u, u.conj() @ m)
-    prob = float(np.linalg.norm(residual) ** 2)
+    prob, residual = complement_side1(reshape_bipartite(v, split), basis_vectors)
     if prob <= PROJECTION_FLOOR:
         return prob, None
     return prob, matrix_to_state(residual / math.sqrt(prob), split, v.dims)

@@ -397,6 +397,14 @@ class TestExitCodes:
         assert main(["schmidt", "--state", str(path), "--split", "1|2"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_amplitudes(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [2, 2], "amps": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}')
+        assert main(["schmidt", "--state", str(path), "--split", "1|2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "norm inf" in out.err
+
     def test_bad_split_indices(self, state_file, capsys):
         assert main(["schmidt", "--state", state_file, "--split", "1|3"]) == 1
 

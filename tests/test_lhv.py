@@ -188,6 +188,20 @@ class TestCertifyBipartite:
         assert float(np.max(dots)) <= 1e-12
         assert abs(float(cert.dual @ b) - cert.margin) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected_before_any_lp(self, report_08_02, bad, monkeypatch):
+        table = report_08_02.table
+        probs = table.probs.copy()
+        probs[0, 0, 0, 1] = bad
+        broken = JointProbabilityTable(table.party_settings, table.party_outcomes, probs)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(lhv, "solve_equality_feasibility", no_lp)
+        with pytest.raises(ValueError, match="non-finite"):
+            hw.certify(broken)
+
     def test_product_state_feasible(self, report_08_02):
         product = hw.basis_state([2, 2], (0, 0))
         table = hw.joint_table(product, report_08_02.construction)

@@ -4,11 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hardywitness as hw
+from hardywitness.states import PROJECTION_FLOOR
 
-from conftest import random_state
+from conftest import random_state, random_unitary
 
 
 class TestPeel:
@@ -579,17 +582,145 @@ class TestTableSharedChain:
     def test_each_prefix_projected_once(self, monkeypatch, qubits5):
         from hardywitness import multipartite as mp
 
-        calls = {"n": 0}
-        for name in ("apply_local_projector", "apply_local_complement"):
-            def counted(*args, _fn=getattr(mp, name), **kwargs):
-                calls["n"] += 1
+        calls = {"state": 0, "probability": 0}
+        for name, kind in (
+            ("apply_local_projector", "state"),
+            ("apply_local_complement", "state"),
+            ("project_side1", "probability"),
+            ("complement_side1", "probability"),
+        ):
+            def counted(*args, _fn=getattr(mp, name), _kind=kind, **kwargs):
+                calls[_kind] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(mp, name, counted)
         table = hw.multipartite_table(*qubits5)
         assert table.probs.size == 288
-        # the distinct chain prefixes are 6 + 24 + 32 + 64 + 128: a qubit's
-        # outcome 0 (the complement of both of its vectors) has probability 0
-        # and ends the chain after the first or second party.  One chain per
-        # entry takes 864 projections.
-        assert calls["n"] == 254
+        # the distinct prefixes of the first four parties are 6 + 24 + 32 +
+        # 64: a qubit's outcome 0 (the complement of both of its vectors) has
+        # probability 0 and ends the chain after the first or second party.
+        # The last party's 64 x 2 outcomes are probabilities only, with no
+        # residual state.  One chain per entry takes 864 projections.
+        assert calls == {"state": 126, "probability": 128}
+
+
+# --- the table walk against one chain per entry, on drawn chains ---
+
+
+def _state_from_tensor(tensor):
+    return hw.make_state(tensor.shape, tensor.reshape(-1))
+
+
+def _random_tensor(rng, dims):
+    return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+
+def _narrow(rng, dims, k):
+    """A random state whose qutrit ``k`` lies in a random 2-dimensional subspace.
+
+    Any peel of ``k`` has rank 2 at most, and its outcome 0 (the complement of
+    the branch vectors) has probability at the projection floor.
+    """
+    small = _random_tensor(rng, dims[:k] + (2,) + dims[k + 1:])
+    isometry = random_unitary(rng, 3)[:, :2]
+    return _state_from_tensor(np.moveaxis(np.tensordot(isometry, small, axes=(1, k)), 0, k))
+
+
+def _branches(rng, dims, j, k):
+    """Two orthogonal branches on subsystem ``j``; qutrit ``k`` is on levels {0, 1}
+    in the first and on level 2 in the second.
+
+    Peeling ``j`` first recovers the branches, so a later peel of ``k`` has
+    rank 2 or 1 and its outcome 0 has a probability well above the floor.
+    """
+    tensor = _random_tensor(rng, dims)
+    index = [slice(None)] * len(dims)
+    index[j], index[k] = slice(2, None), slice(None)
+    tensor[tuple(index)] = 0
+    for level, kept in ((0, [0, 1]), (1, [2])):
+        index[j] = level
+        index[k] = [x for x in range(3) if x not in kept]
+        tensor[tuple(index)] = 0
+    return _state_from_tensor(tensor)
+
+
+@st.composite
+def _chain_cases(draw):
+    """(state, peel order) over 3-5 parties of dimension 2 or 3.
+
+    Besides generic states: a qutrit peel of rank 2 (its outcome 0 sits at the
+    projection floor, so a prefix ending there fills a sub-block), and a last
+    peeled qutrit whose outcome 0 carries weight.
+    """
+    n = draw(st.integers(3, 5))
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n)))
+    order = tuple(draw(st.permutations(range(n)))[: n - 2])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "narrow", "branches"]))
+    qutrits = [k for k in order if dims[k] == 3]
+    if kind == "narrow" and qutrits:
+        return _narrow(rng, dims, draw(st.sampled_from(qutrits))), order
+    if kind == "branches" and n > 3 and dims[order[-1]] == 3:
+        return _branches(rng, dims, order[0], order[-1]), order
+    return _state_from_tensor(_random_tensor(rng, dims)), order
+
+
+def _assert_walk_matches_oracle(v, w, table):
+    expected = [_chain_probability(v, w, *key) for key in table.ordered_keys()]
+    assert np.array_equal(table.probs, np.array(expected).reshape(table.probs.shape))
+    for c in w.conditions:
+        oracle = _chain_probability(v, w, c.condition.settings, c.condition.outcomes)
+        _assert_bit_equal(c.value, oracle, c.condition.label)
+
+
+class TestTableWalkMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_chain_cases())
+    def test_drawn_chains(self, case):
+        v, order = case
+        w = hw.multipartite_witness(v, order)
+        assume(w.applicable)
+        _assert_walk_matches_oracle(v, w, hw.multipartite_table(v, w))
+
+    def _walk_counts(self, monkeypatch, v, order):
+        """The table, its witness, and the walk's floor hits and last-party complements."""
+        from hardywitness import multipartite as mp
+
+        w = hw.multipartite_witness(v, order)
+        assert w.applicable
+        calls = {"floor": 0, "last_complement": 0}
+        for name in ("apply_local_projector", "apply_local_complement"):
+            def counted(*args, _fn=getattr(mp, name), **kwargs):
+                prob, residual = _fn(*args, **kwargs)
+                calls["floor"] += residual is None
+                return prob, residual
+
+            monkeypatch.setattr(mp, name, counted)
+
+        def last_complement(*args, _fn=mp.complement_side1, **kwargs):
+            calls["last_complement"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "complement_side1", last_complement)
+        table = hw.multipartite_table(v, w)
+        monkeypatch.undo()
+        _assert_walk_matches_oracle(v, w, table)
+        return table, calls
+
+    def test_rank_two_qutrit_peel_fills_at_the_floor(self, monkeypatch):
+        # qutrit 3 is peeled first and has rank 2, so every prefix through its
+        # outcome 0 stops at the floor one party before the last
+        dims, order = (3, 3, 2, 3), (3, 2)
+        v = _narrow(np.random.default_rng(11), dims, 3)
+        table, calls = self._walk_counts(monkeypatch, v, order)
+        assert table.party_outcomes[2] == (1, 2, 0)
+        assert calls["floor"] > 0
+        assert np.all(table.probs[..., 2, :] <= PROJECTION_FLOOR)
+
+    def test_last_party_outcome_zero_has_weight(self, monkeypatch):
+        dims, order = (2, 2, 2, 3), (2, 3)
+        v = _branches(np.random.default_rng(12), dims, 2, 3)
+        table, calls = self._walk_counts(monkeypatch, v, order)
+        assert table.party_outcomes[-1][-1] == 0
+        assert calls["last_complement"] > 0
+        assert table.probs[..., -1].max() > 0.01

@@ -59,6 +59,11 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="normalize"):
             hw.parse_state_text('{"dims": [2], "amps": [[0, 0], [0, 0]]}')
 
+    def test_overflowing_norm(self):
+        text = '{"dims": [2, 2], "amps": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}'
+        with pytest.raises(ParseError, match="norm inf"):
+            hw.parse_state_text(text)
+
     def test_dimension_below_two(self):
         with pytest.raises(ParseError, match=">= 2"):
             hw.parse_state_text('{"dims": [1, 4], "amps": [[1,0],[0,0],[0,0],[0,0]]}')

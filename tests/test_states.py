@@ -41,6 +41,12 @@ class TestNormalize:
         with pytest.raises(DimensionMismatch):
             hw.make_state([2], [np.nan, 0.0])
 
+    def test_overflowing_norm(self):
+        # finite amplitudes whose squares overflow: the norm is inf, and
+        # dividing by it would give the all-zero vector
+        with pytest.raises(DimensionMismatch, match="norm inf"):
+            hw.make_state([2, 2], [1e308, 0.0, 0.0, 1e308])
+
     @given(
         st.lists(
             st.floats(min_value=-10, max_value=10, allow_nan=False),
