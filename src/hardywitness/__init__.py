@@ -69,7 +69,7 @@ from .sampling import (
     splitmix64,
     uniform_unit,
 )
-from .schmidt import SchmidtDecomposition, reconstruct, schmidt_decompose
+from .schmidt import SchmidtDecomposition, reconstruct, schmidt_decompose, schmidt_weights
 from .simplex import FeasibilityResult, solve_equality_feasibility
 from .statefile import dump_state, load_state, parse_state_text, state_to_json
 from .states import (

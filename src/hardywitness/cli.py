@@ -364,7 +364,7 @@ def cmd_schmidt(args) -> int:
     v = load_state(args.state)
     split = _split_for(args, v)
     d = schmidt_decompose(v, split)
-    pairs = distinct_weight_pairs(d, args.eps_deg)
+    pairs = distinct_weight_pairs(d.weights, args.eps_deg)
     if args.format == "machine":
         print(machine_dumps({
             "command": "schmidt",
@@ -386,7 +386,7 @@ def cmd_schmidt(args) -> int:
             + " ".join(f"({i},{j})" for i, j in pairs)
         )
     else:
-        print(f"no usable pair: {choose_pair(d, args.eps_deg)[1]}")
+        print(f"no usable pair: {choose_pair(d.weights, args.eps_deg)[1]}")
     return EXIT_OK
 
 
@@ -471,7 +471,7 @@ def _certify_table(args, v) -> tuple[JointProbabilityTable | None, str | None]:
     d = schmidt_decompose(v, _split_for(args, v))
     pair = parse_pair(args.pair)
     if pair is None:
-        pair, reason = choose_pair(d, args.eps_deg)
+        pair, reason = choose_pair(d.weights, args.eps_deg)
         if pair is None:
             return None, reason
     construction = build_construction(d, pair, args.eps_deg, allow_degenerate=args.allow_degenerate)

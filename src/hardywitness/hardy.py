@@ -105,33 +105,35 @@ def _check_eps_deg(eps_deg: float) -> None:
 
 
 def distinct_weight_pairs(
-    d: SchmidtDecomposition, eps_deg: float = DEFAULT_EPS_DEG
+    weights: np.ndarray, eps_deg: float = DEFAULT_EPS_DEG
 ) -> list[tuple[int, int]]:
-    """Index pairs with distinct weights, best flagged probability first.
+    """Index pairs of Schmidt ``weights`` that are distinct, best flagged probability first.
 
-    An empty list means the construction does not apply to this state
-    (single Schmidt term, or all weights equal within ``eps_deg``).
+    ``weights`` are nonincreasing, as a decomposition stores them.  An empty
+    list means the construction does not apply to this state (single
+    Schmidt term, or all weights equal within ``eps_deg``).
     """
     _check_eps_deg(eps_deg)
+    rank = len(weights)
     pairs = [
         (i, j)
-        for i in range(d.rank)
-        for j in range(i + 1, d.rank)
-        if abs(d.weights[i] - d.weights[j]) > eps_deg
+        for i in range(rank)
+        for j in range(i + 1, rank)
+        if abs(weights[i] - weights[j]) > eps_deg
     ]
-    pairs.sort(key=lambda ij: -hardy_probability(d.weights[ij[0]], d.weights[ij[1]]))
+    pairs.sort(key=lambda ij: -hardy_probability(weights[ij[0]], weights[ij[1]]))
     return pairs
 
 
-def choose_pair(d: SchmidtDecomposition, eps_deg: float = DEFAULT_EPS_DEG) -> tuple:
-    """``(pair, None)`` for the best distinct-weight pair, else ``(None, reason)``.
+def choose_pair(weights: np.ndarray, eps_deg: float = DEFAULT_EPS_DEG) -> tuple:
+    """``(pair, None)`` for the best distinct pair of Schmidt ``weights``, else ``(None, reason)``.
 
     The reason is the not-applicable verdict every command reports.
     """
-    pairs = distinct_weight_pairs(d, eps_deg)
+    pairs = distinct_weight_pairs(weights, eps_deg)
     if pairs:
         return pairs[0], None
-    if d.rank == 1:
+    if len(weights) == 1:
         return None, "rank 1 (product across this split)"
     return None, "all Schmidt weights equal within eps_deg"
 
@@ -532,7 +534,7 @@ def make_witness_report(
     d = schmidt_decompose(v, split)
     weights = tuple(float(w) for w in d.weights)
     if pair is None:
-        pair, reason = choose_pair(d, eps_deg)
+        pair, reason = choose_pair(d.weights, eps_deg)
         if pair is None:
             return WitnessReport(False, reason, split, weights, eps_deg, zero_tol)
     construction = build_construction(d, pair, eps_deg)

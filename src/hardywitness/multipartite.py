@@ -10,11 +10,16 @@ probability: the product of the marked q_k^2 factors times the two-party
 value.
 
 The search does only the work its answer needs.  A two-party leaf is scored
-by its Schmidt weights (``choose_pair`` and ``hardy_probability``, the same
-float the full report's closed form gives), and one full
-``make_witness_report`` is built, for the winning leaf.  Within one call each
-residual is peeled once per (path, target) prefix, so orders that share a
-prefix share its peels.
+by its Schmidt weights alone (``schmidt_weights``, which builds no vectors,
+then ``choose_pair`` and ``hardy_probability``: the same float the full
+report's closed form gives), and one full ``make_witness_report`` is built,
+for the winning leaf.  Within one call the search keeps one memo keyed by
+content: a residual's amplitude bytes and dimensions, with the local index
+of the peeled factor for a peel.  Every path that reaches the same residual,
+bit for bit, shares its peel and its leaf score, so the GHZ, W and product
+states whose peel orders meet in a few residuals are solved once each.  An
+exhaustive search draws its orders lazily, and more than :data:`ORDER_CAP`
+orders raise ``TooLarge`` before any peel.
 
 The search is also a branch-and-bound (Land & Doig, 1960).  The closed form
 is homogeneous of degree 2, so a leaf never scores more than ``HARDY_MAX``
@@ -27,7 +32,9 @@ skipped unvisited.  A skipped branch could at best tie, and ties keep the
 first result, so the answer is the unpruned search's, bit for bit.  For a
 generic 5-qubit state the exhaustive search makes about 90 peel calls
 instead of 285 (and 420 when every order peeled afresh) and one report
-instead of 480; the default order makes 7 peel calls and one report.
+instead of 480; the default order makes 7 peel calls and one report.  For
+GHZ5 it makes 19 peel calls and for W5 22 (165 and 225 with a memo keyed by
+the path from the searched state).
 
 Each table (and each witness's condition values) builds its measurement
 chain once: every party's single-subsystem split and its setting-to-observable
@@ -41,11 +48,12 @@ probability-only evaluations instead of 864 projections.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, TooLarge
 from .hardy import (
     CLOSED_FORM_TOL,
     DEFAULT_EPS_DEG,
@@ -63,7 +71,7 @@ from .hardy import (
     hardy_probability,
     make_witness_report,
 )
-from .schmidt import schmidt_decompose
+from .schmidt import schmidt_decompose, schmidt_weights
 from .states import (
     Bipartition,
     StateVector,
@@ -78,6 +86,11 @@ from .states import (
 # rounding: marked q^2 multiplied top-down against bottom-up, and weights
 # whose squares sum to slightly more than 1.
 BOUND_SLACK = 1.0 + 1e-9
+# Most peel orders one exhaustive search may try: n!/2 orders for n parties,
+# so up to 8 parties (20 160 orders) are searched and 9 (181 440) are refused.
+ORDER_CAP = 10**5
+# The split of every two-party leaf.
+LEAF_SPLIT = Bipartition((0,), (1,))
 
 
 @dataclass(frozen=True)
@@ -147,8 +160,7 @@ def _recurse(
     labels: tuple[int, ...],
     order: tuple[int, ...],
     eps_deg: float,
-    peels: dict,
-    path: tuple[int, ...],
+    memo: dict,
     prefix: float,
     floor: float,
 ):
@@ -156,12 +168,14 @@ def _recurse(
 
     ``labels`` are the original subsystem indices of ``v``'s factors;
     ``order`` lists the original indices still to peel.  A two-party leaf is
-    scored by its Schmidt weights alone: ``combined`` carries the same
-    ``hardy_probability`` float that ``make_witness_report`` returns as
-    ``hardy_closed_form``, and no report is built here.  ``path`` lists the
-    (target, branch index) choices that led from the searched state to
-    ``v``; with the next target it keys ``peels``, so orders sharing a prefix
-    peel each residual once.
+    scored by its Schmidt weights alone (:func:`schmidt_weights`, no
+    vectors): ``combined`` carries the same ``hardy_probability`` float that
+    ``make_witness_report`` returns as ``hardy_closed_form``, and no report
+    is built here.  ``memo`` is keyed by content: ``(dims, amplitude
+    bytes)`` holds a leaf's score and ``(dims, amplitude bytes, local
+    index)`` the peel of that factor.  Peels and scores are deterministic
+    functions of those bytes, so every path that reaches a residual with
+    the same bytes shares its peels and its score.
 
     A branch scores weight^2 x its downstream combined probability, and the
     strict ``>`` keeps the first of equal scores.  Branch ``k`` is skipped
@@ -175,19 +189,23 @@ def _recurse(
     may come back worse than the full search's, or as None, but such a
     result never wins.
     """
+    content = (v.dims, v.amps.tobytes())
     if len(labels) == 2:
-        d = schmidt_decompose(v, Bipartition((0,), (1,)))
-        pair, _ = choose_pair(d, eps_deg)
-        if pair is None:
-            return None
-        i, j = pair
-        return (), v, 1.0, hardy_probability(float(d.weights[i]), float(d.weights[j]))
+        if content not in memo:
+            w = schmidt_weights(v, LEAF_SPLIT)
+            pair, _ = choose_pair(w, eps_deg)
+            memo[content] = None if pair is None else hardy_probability(
+                float(w[pair[0]]), float(w[pair[1]])
+            )
+        score = memo[content]
+        return None if score is None else ((), v, 1.0, score)
     target = order[0]
-    key = path + (target,)
-    branches = peels.get(key)
+    position = labels.index(target)
+    key = content + (position,)
+    branches = memo.get(key)
     if branches is None:
-        branches = peels[key] = peel(v, labels.index(target))
-    rest_labels = tuple(l for l in labels if l != target)
+        branches = memo[key] = peel(v, position)
+    rest_labels = labels[:position] + labels[position + 1:]
     best = None
     best_score = -1.0
     for k, br in enumerate(branches):
@@ -195,9 +213,7 @@ def _recurse(
         cap = q_sq * HARDY_MAX * BOUND_SLACK
         if cap <= best_score or prefix * cap <= floor:
             continue
-        sub = _recurse(
-            br.residual, rest_labels, order[1:], eps_deg, peels, key + (k,), prefix * q_sq, floor
-        )
+        sub = _recurse(br.residual, rest_labels, order[1:], eps_deg, memo, prefix * q_sq, floor)
         if sub is not None and q_sq * sub[3] > best_score:
             best = (k, q_sq, sub)
             best_score = q_sq * sub[3]
@@ -339,7 +355,8 @@ def multipartite_witness(
     By default subsystems are peeled highest index first.  ``peel_order``
     overrides the default with explicit original indices (n - 2 of them);
     ``exhaustive`` tries every peel order and keeps the most probable one; it
-    cannot be combined with ``peel_order``.
+    cannot be combined with ``peel_order``, and more than :data:`ORDER_CAP`
+    orders raise :class:`TooLarge` before any peel.
     Not-applicable verdicts carry no claim that the state admits a local
     model; they only mean this construction found no usable branch.
 
@@ -357,7 +374,10 @@ def multipartite_witness(
     if exhaustive:
         if peel_order is not None:
             raise ValueError("peel_order cannot be combined with exhaustive (every order is tried)")
-        orders = list(itertools.permutations(labels, n - 2))
+        count = math.perm(n, n - 2)
+        if count > ORDER_CAP:
+            raise TooLarge(f"{count} peel orders exceed the cap of {ORDER_CAP}")
+        orders = itertools.permutations(labels, n - 2)
     elif peel_order is not None:
         order = tuple(int(k) for k in peel_order)
         if len(order) != n - 2 or len(set(order)) != len(order) or not all(
@@ -369,10 +389,10 @@ def multipartite_witness(
         orders = [tuple(range(n - 1, 1, -1))]
     best = None
     best_combined = -1.0
-    peels: dict = {}
+    memo: dict = {}
     for order in orders:
         # the floor is the best finished order, never a partial one
-        result = _recurse(v, labels, order, eps_deg, peels, (), 1.0, best_combined)
+        result = _recurse(v, labels, order, eps_deg, memo, 1.0, best_combined)
         if result is not None and result[3] > best_combined:
             best = result
             best_combined = result[3]
@@ -383,7 +403,7 @@ def multipartite_witness(
             dims=v.dims,
         )
     steps, leaf, q_product, combined = best
-    report = make_witness_report(leaf, Bipartition((0,), (1,)), pair=None, eps_deg=eps_deg)
+    report = make_witness_report(leaf, LEAF_SPLIT, pair=None, eps_deg=eps_deg)
     peeled = {s.subsystem for s in steps}
     final = tuple(k for k in range(n) if k not in peeled)
     chain = _chain(n, report.construction, final, steps)

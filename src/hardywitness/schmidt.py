@@ -58,28 +58,29 @@ def _stable_order(
 ) -> list[int]:
     """``indices`` in nonincreasing weight order; ties broken by first
     significant component."""
-    order = sorted(indices, key=lambda i: -weights[i])
+    groups: list[list[int]] = []
+    for idx in sorted(indices, key=lambda i: -weights[i]):
+        if not groups or weights[groups[-1][0]] - weights[idx] > DEGENERACY_TOL:
+            groups.append([idx])
+        else:
+            groups[-1].append(idx)
     result: list[int] = []
-    group: list[int] = []
-    for idx in order:
-        if group and weights[group[0]] - weights[idx] > DEGENERACY_TOL:
+    for group in groups:
+        # a weight with no degenerate partner needs no tie-break key
+        if len(group) > 1:
             group.sort(key=lambda i: _first_significant_index(vectors[:, i]))
-            result.extend(group)
-            group = []
-        group.append(idx)
-    group.sort(key=lambda i: _first_significant_index(vectors[:, i]))
-    result.extend(group)
+        result.extend(group)
     return result
 
 
-def schmidt_decompose(v: StateVector, split: Bipartition) -> SchmidtDecomposition:
-    """Decompose a normalized state across ``split``.
+def _spectrum(v: StateVector, split: Bipartition):
+    """The coefficient matrix, the Gram eigenvectors and the ordered kept weights.
 
     Diagonalizes the side-1 Gram matrix M M^dagger with cyclic Jacobi
-    rotations, takes the singular values as square roots of its eigenvalues,
-    and recovers the side-2 vectors from the coefficient matrix.  Within each
-    left vector the largest-magnitude component is made real and positive
-    (ties to the lowest index); the compensating phase moves to the partner.
+    rotations and takes the singular values as square roots of its
+    eigenvalues.  Returns ``(m, weights, eigvecs, order)``: ``weights`` are
+    the kept singular values in stable order, and ``order`` lists their
+    columns in ``eigvecs``.
     """
     m = reshape_bipartite(v, split)
     gram = m @ m.conj().T
@@ -91,7 +92,23 @@ def schmidt_decompose(v: StateVector, split: Bipartition) -> SchmidtDecompositio
     order = _stable_order(weights, eigvecs, kept.tolist())
     if not order:
         raise NumericalFailure("state has no Schmidt weight above the floor")
-    w = weights[order]
+    return m, weights[order], eigvecs, order
+
+
+def schmidt_weights(v: StateVector, split: Bipartition) -> np.ndarray:
+    """The Schmidt weights of :func:`schmidt_decompose`, bit for bit, without vectors."""
+    return _spectrum(v, split)[1]
+
+
+def schmidt_decompose(v: StateVector, split: Bipartition) -> SchmidtDecomposition:
+    """Decompose a normalized state across ``split``.
+
+    Takes the weights and left vectors from :func:`_spectrum` and recovers
+    the side-2 vectors from the coefficient matrix.  Within each left vector
+    the largest-magnitude component is made real and positive (ties to the
+    lowest index); the compensating phase moves to the partner.
+    """
+    m, w, eigvecs, order = _spectrum(v, split)
     alphas = eigvecs[:, order].copy()
     betas = (m.T @ alphas.conj()) / w
     # Jacobi leaves the left vectors orthonormal to machine precision; the

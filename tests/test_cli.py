@@ -8,6 +8,7 @@ import hardywitness as hw
 from hardywitness import cli
 from hardywitness.cli import main, machine_dumps, parse_split
 from hardywitness.hardy import GRID_CAP
+from hardywitness.multipartite import ORDER_CAP
 from hardywitness.sampling import SHOT_CAP
 
 SPLIT = hw.Bipartition((0,), (1,))
@@ -177,6 +178,16 @@ class TestCertifyCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "cannot be combined" in captured.err
+
+    def test_multipartite_orders_past_cap_fail_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        hw.dump_state(hw.make_state([2] * 9, np.eye(1, 2**9)[0]), path)
+        code = main(["certify", "--state", str(path), "--mode", "multipartite",
+                     "--exhaustive-orders"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: 181440 peel orders exceed the cap of {ORDER_CAP}\n"
 
     def test_multipartite_not_applicable_machine(self, tmp_path, capsys):
         path = tmp_path / "ghz.json"

@@ -126,7 +126,7 @@ class TestConstruction:
         rng = np.random.default_rng(19)
         v = random_state(rng, (3, 4))
         d = hw.schmidt_decompose(v, SPLIT)
-        con = hw.build_construction(d, hw.distinct_weight_pairs(d)[0])
+        con = hw.build_construction(d, hw.distinct_weight_pairs(d.weights)[0])
         for plus, minus in [obs.marked_vectors() for obs in con.observables]:
             assert abs(np.vdot(plus, plus) - 1) < 1e-12
             assert abs(np.vdot(minus, minus) - 1) < 1e-12
@@ -148,7 +148,7 @@ class TestConstruction:
             lambda: hw.build_construction(d, (0, 1), eps_deg),
             lambda: hw.build_construction(d, (0, 1), eps_deg, allow_degenerate=True),
             lambda: hw.make_witness_report(bell, SPLIT, pair=(0, 1), eps_deg=eps_deg),
-            lambda: hw.distinct_weight_pairs(d, eps_deg),
+            lambda: hw.distinct_weight_pairs(d.weights, eps_deg),
         )
         for call in calls:
             with pytest.raises(ValueError, match="eps_deg must be finite and positive"):
@@ -231,7 +231,7 @@ class TestJointTable:
         rng = np.random.default_rng(len("phase"))
         v = random_state(rng, (3, 3))
         d = hw.schmidt_decompose(v, SPLIT)
-        pair = hw.distinct_weight_pairs(d)[0]
+        pair = hw.distinct_weight_pairs(d.weights)[0]
         table = hw.joint_table(v, hw.build_construction(d, pair))
         phases = np.exp(1j * np.array([0.3, -1.2, 2.5]))[: d.rank]
         twisted = SchmidtDecomposition(
@@ -373,7 +373,7 @@ class TestWitnessReport:
     )
     def test_choose_pair_reason_is_the_report_reason(self, amps, reason):
         v = hw.make_state([2, 2], amps)
-        assert choose_pair(hw.schmidt_decompose(v, SPLIT)) == (None, reason)
+        assert choose_pair(hw.schmidt_decompose(v, SPLIT).weights) == (None, reason)
         assert hw.make_witness_report(v, SPLIT).reason == reason
 
 
@@ -410,17 +410,17 @@ class TestEpsDegEdge:
         state, pair, eps_deg = case
         far, near = state(1.5), state(0.5)
         d_far = hw.schmidt_decompose(far, SPLIT)
-        assert pair in hw.distinct_weight_pairs(d_far, eps_deg)
+        assert pair in hw.distinct_weight_pairs(d_far.weights, eps_deg)
         report = hw.make_witness_report(far, SPLIT, pair=pair, eps_deg=eps_deg)
         assert report.applicable and report.all_conditions_hold
         d_near = hw.schmidt_decompose(near, SPLIT)
         assert d_near.rank == d_far.rank == far.dims[0]
-        assert pair not in hw.distinct_weight_pairs(d_near, eps_deg)
+        assert pair not in hw.distinct_weight_pairs(d_near.weights, eps_deg)
         with pytest.raises(DegeneratePair):
             hw.build_construction(d_near, pair, eps_deg)
         if d_near.rank == 2:
             reason = "all Schmidt weights equal within eps_deg"
-            assert choose_pair(d_near, eps_deg) == (None, reason)
+            assert choose_pair(d_near.weights, eps_deg) == (None, reason)
 
     @pytest.mark.xfail(
         strict=True,

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,7 +77,7 @@ class TestSelectBranch:
         scores = []
         for b in branches:
             d = hw.schmidt_decompose(b.residual, hw.Bipartition((0,), (1,)))
-            pairs = hw.distinct_weight_pairs(d)
+            pairs = hw.distinct_weight_pairs(d.weights)
             best = hw.hardy_probability(*d.weights[list(pairs[0])]) if pairs else -1.0
             scores.append(b.weight**2 * best)
         assert hw.multipartite_witness(v).steps[0].marked == int(np.argmax(scores))
@@ -381,6 +383,9 @@ def _oracle_grid():
     phi = hw.make_state([2, 2], [0.8**0.5, 0, 0, 0.2**0.5]).amps
     cases.append(("tied_phi00", hw.make_state([2] * 4, np.kron(np.kron(phi, [1, 0]), [1, 0]))))
     cases.append(("tied_phiphi", hw.make_state([2] * 4, np.kron(phi, phi))))
+    # applicable states whose residuals repeat bit for bit across peel orders
+    cases.append(("phiphi0", hw.make_state([2] * 5, np.kron(np.kron(phi, phi), [1, 0]))))
+    cases.append(("phi_w3", hw.make_state([2] * 5, np.kron(phi, _w_state(3).amps))))
     for n in (3, 4, 5):
         cases.append((f"ghz{n}", hw.ghz_state(n)))
         cases.append((f"w{n}", _w_state(n)))
@@ -446,6 +451,72 @@ class TestSearchWorkCounts:
         assert w.applicable
         assert counts == {"peel": 1 + 2 + 4, "report": 1}
 
+    @pytest.mark.parametrize(
+        "name, peels, reports", [("ghz5", 19, 0), ("w5", 22, 0), ("phiphi0", 24, 1)]
+    )
+    def test_exhaustive_peels_each_residual_once(self, counts, name, peels, reports):
+        # every peel order reaches the same few residuals, bit for bit
+        v = dict(ORACLE_GRID)[name]
+        assert hw.multipartite_witness(v, exhaustive=True).applicable == bool(reports)
+        assert counts == {"peel": peels, "report": reports}
+
+    @pytest.mark.parametrize("name", ["generic(2, 2, 2, 2, 2)", "ghz5", "w5", "phiphi0"])
+    def test_leaves_build_no_vectors(self, monkeypatch, counts, name):
+        from hardywitness import hardy
+        from hardywitness import multipartite as mp
+
+        decomposed = []
+
+        def counted(v, split, _fn=mp.schmidt_decompose):
+            decomposed.append(len(v.dims))
+            return _fn(v, split)
+
+        monkeypatch.setattr(mp, "schmidt_decompose", counted)
+        monkeypatch.setattr(hardy, "schmidt_decompose", counted)
+        hw.multipartite_witness(dict(ORACLE_GRID)[name], exhaustive=True)
+        # one decomposition per peel, and one two-party one for the report
+        assert len(decomposed) == counts["peel"] + counts["report"]
+        assert decomposed.count(2) == counts["report"]
+
+    def test_orders_above_the_cap_raise_before_any_peel(self, counts):
+        from hardywitness import multipartite as mp
+
+        n = next(n for n in itertools.count(3) if math.perm(n, n - 2) > mp.ORDER_CAP)
+        v = hw.make_state([2] * n, np.eye(1, 2**n)[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(hw.TooLarge) as caught:
+                hw.multipartite_witness(v, exhaustive=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == (
+            f"{math.perm(n, n - 2)} peel orders exceed the cap of {mp.ORDER_CAP}"
+        )
+        assert counts["peel"] == 0
+        assert peak < 2**16
+
+    def test_orders_are_drawn_lazily(self, monkeypatch):
+        from hardywitness import multipartite as mp
+
+        class FirstPeel(Exception):
+            pass
+
+        def first_peel(*args):
+            raise FirstPeel
+
+        monkeypatch.setattr(mp, "peel", first_peel)
+        v = hw.make_state([2] * 8, np.eye(1, 2**8)[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstPeel):
+                hw.multipartite_witness(v, exhaustive=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 20 160 orders of 8 parties take about 1.9 MB as a list
+        assert peak < 2**18
+
 
 # --- the pruned exhaustive search against the unpruned one, at n = 6 ---
 
@@ -469,7 +540,7 @@ def _unpruned_recurse(v, labels, order, eps_deg, peels, path=()):
     """The search's recursion without its bound, peeling each prefix once."""
     if len(labels) == 2:
         d = hw.schmidt_decompose(v, LEAF_SPLIT)
-        pairs = hw.distinct_weight_pairs(d, eps_deg)
+        pairs = hw.distinct_weight_pairs(d.weights, eps_deg)
         if not pairs:
             return None
         i, j = pairs[0]

@@ -43,6 +43,23 @@ class TestDecompose:
                 d = hw.schmidt_decompose(v, SPLIT)
                 check_invariants(v, d)
 
+    def test_weights_alone_are_the_decomposition_weights(self):
+        # generic, rank-deficient and degenerate states, on grouped splits too
+        rng = np.random.default_rng(909)
+        cases = [(random_state(rng, dims), split) for dims, split in [
+            ((2, 2), SPLIT), ((3, 4), SPLIT), ((4, 3), hw.Bipartition((1,), (0,))),
+            ((2, 3, 2), hw.Bipartition((0, 2), (1,))),
+        ]]
+        cases += [
+            (hw.make_state([3, 3], [1, 0, 0, 0, 1, 0, 0, 0, 1]), SPLIT),
+            (hw.make_state([3, 3], [1, 0, 0, 0, 1, 0, 0, 0, 0]), SPLIT),
+            (hw.ghz_state(3), hw.Bipartition((2,), (0, 1))),
+            (hw.make_state([2, 2], [1, 1, 0, 0]), SPLIT),
+        ]
+        for v, split in cases:
+            w = hw.schmidt_weights(v, split)
+            assert w.tobytes() == hw.schmidt_decompose(v, split).weights.tobytes()
+
     def test_swapped_split(self):
         rng = np.random.default_rng(77)
         v = random_state(rng, (3, 4))
@@ -108,12 +125,12 @@ class TestDistinctWeightPairs:
     def test_single_pair(self):
         v = hw.make_state([2, 2], [0.8**0.5, 0, 0, 0.2**0.5])
         d = hw.schmidt_decompose(v, SPLIT)
-        assert hw.distinct_weight_pairs(d) == [(0, 1)]
+        assert hw.distinct_weight_pairs(d.weights) == [(0, 1)]
 
     def test_maximally_entangled_empty(self):
         v = hw.make_state([2, 2], [1, 0, 0, 1])
         d = hw.schmidt_decompose(v, SPLIT)
-        assert hw.distinct_weight_pairs(d) == []
+        assert hw.distinct_weight_pairs(d.weights) == []
 
     def test_ordering_by_flagged_probability(self):
         w = [0.8, 0.5, 0.11**0.5]
@@ -121,7 +138,7 @@ class TestDistinctWeightPairs:
         amps[0], amps[4], amps[8] = w
         v = hw.make_state([3, 3], amps)
         d = hw.schmidt_decompose(v, SPLIT)
-        pairs = hw.distinct_weight_pairs(d)
+        pairs = hw.distinct_weight_pairs(d.weights)
         scores = [hw.hardy_probability(d.weights[i], d.weights[j]) for i, j in pairs]
         assert scores == sorted(scores, reverse=True)
         assert pairs == [(0, 2), (0, 1), (1, 2)]
@@ -129,15 +146,15 @@ class TestDistinctWeightPairs:
     def test_rank_one_empty(self):
         v = hw.basis_state([2, 2], (0, 0))
         d = hw.schmidt_decompose(v, SPLIT)
-        assert hw.distinct_weight_pairs(d) == []
+        assert hw.distinct_weight_pairs(d.weights) == []
 
     def test_eps_deg_must_be_positive(self):
         v = hw.make_state([2, 2], [1, 0, 0, 1])
         d = hw.schmidt_decompose(v, SPLIT)
         with pytest.raises(ValueError):
-            hw.distinct_weight_pairs(d, 0.0)
+            hw.distinct_weight_pairs(d.weights, 0.0)
         with pytest.raises(ValueError):
-            hw.distinct_weight_pairs(d, float("nan"))
+            hw.distinct_weight_pairs(d.weights, float("nan"))
 
     def test_empty_exactly_when_all_close(self):
         rng = np.random.default_rng(41)
@@ -150,4 +167,4 @@ class TestDistinctWeightPairs:
                 for i in range(d.rank)
                 for j in range(i + 1, d.rank)
             )
-            assert (hw.distinct_weight_pairs(d, eps) == []) == expect_empty
+            assert (hw.distinct_weight_pairs(d.weights, eps) == []) == expect_empty
