@@ -43,6 +43,7 @@ from .lhv import (
     ContradictionTrace,
     DeterministicStrategy,
     LhvCertificate,
+    StrategySpace,
     certify,
     enumerate_strategies,
     idealized_table,

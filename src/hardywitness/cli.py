@@ -329,13 +329,11 @@ def _strategy_tree(strategy, table: JointProbabilityTable) -> dict:
 def certificate_tree(cert: LhvCertificate, table: JointProbabilityTable) -> dict:
     tree = {"verdict": "feasible" if cert.feasible else "infeasible"}
     if cert.feasible:
-        mixture = []
-        for strategy, weight in zip(cert.strategies, cert.weights):
-            if weight > 1e-12:
-                mixture.append(
-                    {"weight": float(weight), "strategy": _strategy_tree(strategy, table)}
-                )
-        tree["mixture"] = mixture
+        tree["mixture"] = [
+            {"weight": float(w), "strategy": _strategy_tree(cert.strategies[k], table)}
+            for k, w in enumerate(cert.weights)
+            if w > 1e-12
+        ]
     else:
         dual = []
         for key, coefficient in zip(cert.entry_keys, cert.dual[:-1]):
@@ -503,13 +501,9 @@ def cmd_certify(args) -> int:
         print(machine_dumps(tree))
     elif cert.feasible:
         print("verdict: feasible (a local hidden-variable model reproduces the table)")
-        shown = 0
-        for strategy, weight in zip(cert.strategies, cert.weights):
-            if weight > 1e-9:
-                print(f"  weight {fmt(weight)}: {_strategy_tree(strategy, table)}")
-                shown += 1
-        if shown == 0:
-            print("  (all weight below display threshold)")
+        for k, w in enumerate(cert.weights):
+            if w > 1e-9:
+                print(f"  weight {fmt(w)}: {_strategy_tree(cert.strategies[k], table)}")
     else:
         print("verdict: infeasible (no local hidden-variable model exists)")
         print(f"violation margin: {fmt(cert.margin)}")
@@ -632,7 +626,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (HardyWitnessError, ValueError) as exc:
+    except (HardyWitnessError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

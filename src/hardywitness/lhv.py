@@ -2,11 +2,12 @@
 
 A local hidden-variable model for a joint probability table is, without loss
 of generality, a probability mixture of deterministic local strategies: one
-outcome pinned per setting per party, sides independent.  Whether such a
-mixture reproduces the table exactly is a linear-programming feasibility
-question over the strategy weights; infeasibility comes with a Farkas dual
-vector, which reads as a Bell-type linear inequality every local model obeys
-and the quantum table violates.
+outcome pinned per setting per party, parties independent.  A table's
+strategies form one ``StrategySpace`` of per-party answer-table arrays, whose
+order the LP columns and a certificate's weights share.  Whether a mixture
+reproduces the table exactly is a linear-programming feasibility question;
+infeasibility comes with a Farkas dual vector, which reads as a Bell-type
+linear inequality every local model obeys and the quantum table violates.
 
 A party with a single setting can be folded into the hidden variable: its
 one answer is part of the strategy, so the table has a local model exactly
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +61,30 @@ class DeterministicStrategy:
         return self.assignments[party][setting_index]
 
 
-def enumerate_strategies(
-    settings_per_party, outcomes_per_party
-) -> tuple[DeterministicStrategy, ...]:
-    """Full Cartesian enumeration of deterministic local strategies.
+class StrategySpace(Sequence):
+    """Every deterministic local strategy of a table shape, in one fixed order.
+
+    ``answers[p]`` holds party p's answer tables as integer rows, in
+    ``itertools.product(outcomes, repeat=n_settings)`` order; item k, built only
+    when read, takes row ``np.unravel_index(k, shape)[p]`` of each party p.
+    """
+
+    def __init__(self, answers):
+        self.answers = tuple(answers)
+        self.shape = tuple(len(a) for a in self.answers)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def __getitem__(self, k) -> DeterministicStrategy:
+        rows = np.unravel_index(range(len(self))[operator.index(k)], self.shape)
+        return DeterministicStrategy(
+            tuple(tuple(a[r].tolist()) for a, r in zip(self.answers, rows))
+        )
+
+
+def enumerate_strategies(settings_per_party, outcomes_per_party) -> StrategySpace:
+    """Every deterministic local strategy of the given parties, as one ``StrategySpace``.
 
     ``settings_per_party`` counts the settings of each party;
     ``outcomes_per_party`` gives each party's outcome alphabet.
@@ -70,20 +93,16 @@ def enumerate_strategies(
     alphabets = [tuple(o) for o in outcomes_per_party]
     if len(counts) != len(alphabets):
         raise ValueError("settings and outcomes must list the same parties")
-    total = 1
-    for s, outs in zip(counts, alphabets):
-        total *= len(outs) ** s
+    total = math.prod(len(outs) ** s for s, outs in zip(counts, alphabets))
     if total > STRATEGY_CAP:
         raise TooLarge(f"{total} strategies exceed the cap of {STRATEGY_CAP}")
-    per_party = [
-        tuple(itertools.product(outs, repeat=s)) for s, outs in zip(counts, alphabets)
-    ]
-    return tuple(
-        DeterministicStrategy(assignment) for assignment in itertools.product(*per_party)
+    return StrategySpace(
+        np.array(list(itertools.product(outs, repeat=s))).reshape(-1, s)
+        for s, outs in zip(counts, alphabets)
     )
 
 
-def strategies_for_table(table: JointProbabilityTable) -> tuple[DeterministicStrategy, ...]:
+def strategies_for_table(table: JointProbabilityTable) -> StrategySpace:
     return enumerate_strategies(
         [len(s) for s in table.party_settings], table.party_outcomes
     )
@@ -93,16 +112,17 @@ def strategies_for_table(table: JointProbabilityTable) -> tuple[DeterministicStr
 class LhvCertificate:
     """Feasibility verdict for a table, with the evidence either way.
 
-    Feasible: ``weights`` is a probability vector over ``strategies`` whose
-    mixture reproduces every entry.  Infeasible: ``dual`` (indexed by
-    ``entry_keys`` plus a trailing normalization component) satisfies
-    dual . column <= 0 for every strategy and dual . table = ``margin`` > 0;
-    for a table with single-setting parties it weighs one slice only (see
-    ``certify``) and its normalization component is 0.
+    ``strategies`` is the table's ``StrategySpace``.  Feasible: ``weights``
+    is a probability vector over it whose mixture reproduces every entry.
+    Infeasible: ``dual`` (indexed by ``entry_keys`` plus a trailing
+    normalization component) satisfies dual . column <= 0 for every
+    strategy and dual . table = ``margin`` > 0; for a table with
+    single-setting parties it weighs one slice only (see ``certify``) and
+    its normalization component is 0.
     """
 
     feasible: bool
-    strategies: tuple[DeterministicStrategy, ...]
+    strategies: StrategySpace
     entry_keys: tuple
     weights: np.ndarray | None = None
     dual: np.ndarray | None = None
@@ -112,19 +132,17 @@ class LhvCertificate:
 
 def _constraint_system(table: JointProbabilityTable):
     """LP matrix ``a`` and right-hand side ``b``: rows ``ordered_keys()`` plus
-    normalization, one column per strategy in ``strategies_for_table`` order.
+    normalization, one column per strategy in ``StrategySpace`` order.
 
     A strategy hits ``(choice, outcomes)`` when every party answers its own
     setting with its own outcome, so the matrix is the product over parties
-    of one-hot (setting, outcome, local answer table) indicators.  A party's
-    answer tables are ``itertools.product(outs, repeat=n_settings)``, and the
-    columns run over them in ``itertools.product`` order across parties, as
-    ``enumerate_strategies`` does, so no strategy object is built here.
+    of one-hot (setting, outcome, local answer table) indicators, read from
+    the space's answer arrays without building any strategy.
     """
+    space = enumerate_strategies([len(s) for s in table.party_settings], table.party_outcomes)
     n = table.n_parties
     hits = np.ones((1,) * (3 * n))
-    for party, (labels, outs) in enumerate(zip(table.party_settings, table.party_outcomes)):
-        answers = np.array(list(itertools.product(outs, repeat=len(labels))))
+    for party, (answers, outs) in enumerate(zip(space.answers, table.party_outcomes)):
         onehot = answers.T[:, None, :] == np.array(outs)[None, :, None]
         shape = [1] * (3 * n)
         shape[party], shape[n + party], shape[2 * n + party] = onehot.shape
@@ -230,11 +248,8 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
     residual = float(np.max(np.abs(weights @ cone.T - rows)))
     if residual > MIXTURE_TOL:
         raise NumericalFailure(f"feasible mixture misses the table by {residual!r}")
-    # Full strategies run over the parties' answer tables in party order; a
-    # single-setting party's answer table is its slice outcome.
-    counts = [
-        len(table.party_outcomes[p]) ** len(table.party_settings[p]) for p in single + core
-    ]
+    # A single-setting party's answer table is its slice outcome.
+    counts = [strategies.shape[p] for p in single + core]
     weights = weights.reshape(counts).transpose(np.argsort(single + core)).ravel()
     return LhvCertificate(True, strategies, keys, weights=weights)
 

@@ -321,6 +321,19 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == err
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_export_fails_cleanly(self, state_file, tmp_path, capsys, where):
+        target = tmp_path / "absent" / "x.csv" if where == "missing-directory" else tmp_path
+        for fmt in ("human", "machine"):
+            code = main(["simulate", "--state", state_file, "--split", "1|2",
+                         "--shots", "10", "--seed", "1", "--format", fmt,
+                         "--export", str(target)])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and str(target) in captured.err
+            assert captured.err.count("\n") == 1
+
 
 class TestNotApplicableReasons:
     """witness, certify and schmidt word one state's verdict the same way."""

@@ -73,6 +73,29 @@ def table_shapes(draw):
     return labels, tuple(tuple(outs) for outs in alphabets)
 
 
+class TestStrategySpace:
+    @settings(max_examples=60, deadline=None)
+    @given(table_shapes())
+    def test_matches_product_enumeration(self, shape):
+        party_settings, party_outcomes = shape
+        # the tuple of strategy objects that the space replaced, as the oracle
+        per_party = [
+            tuple(itertools.product(outs, repeat=len(labels)))
+            for labels, outs in zip(party_settings, party_outcomes)
+        ]
+        oracle = [hw.DeterministicStrategy(a) for a in itertools.product(*per_party)]
+        space = hw.enumerate_strategies([len(s) for s in party_settings], party_outcomes)
+        assert len(space) == len(oracle)
+        assert list(space) == oracle
+        for k, strategy in enumerate(oracle):
+            assert space[k] == strategy
+            assert space[k - len(space)] == strategy
+        with pytest.raises(IndexError):
+            space[len(space)]
+        with pytest.raises(TypeError):
+            space[0:1]
+
+
 class TestConstraintSystem:
     @settings(max_examples=60, deadline=None)
     @given(table_shapes())
@@ -101,15 +124,38 @@ class TestConstraintSystem:
         assert np.array_equal(b, [entries[key] for key in keys] + [1.0])
 
 
+def _refuse_strategy(*args):
+    raise AssertionError("a strategy object was built")
+
+
+def _with_one_setting_parties(two, extra):
+    """A two-party table times ``extra`` one-setting parties answering 1 or 0."""
+    probs = two.probs
+    for _ in range(extra):
+        probs = np.multiply.outer(probs, [0.3, 0.7])
+    return JointProbabilityTable(
+        two.party_settings + tuple((f"T{k}",) for k in range(3, 3 + extra)),
+        two.party_outcomes + ((1, 0),) * extra,
+        probs,
+    )
+
+
 class TestOneEnumeration:
     def test_constraint_system_builds_no_strategy(self, report_08_02, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a strategy object was built")
-
-        for name in ("DeterministicStrategy", "enumerate_strategies", "strategies_for_table"):
-            monkeypatch.setattr(lhv, name, refuse)
+        monkeypatch.setattr(lhv, "DeterministicStrategy", _refuse_strategy)
         a, b = _constraint_system(report_08_02.table)
         assert a.shape == (37, 81) and b.shape == (37,)
+
+    def test_certify_builds_no_strategy(self, report_08_02, tripartite_example, monkeypatch):
+        two = report_08_02.table
+        tables = [
+            two,
+            hw.multipartite_table(tripartite_example, hw.multipartite_witness(tripartite_example)),
+            _with_one_setting_parties(two, 8),
+        ]
+        monkeypatch.setattr(lhv, "DeterministicStrategy", _refuse_strategy)
+        for table in tables:
+            assert not hw.certify(table).feasible
 
     def test_certify_enumerates_once(self, report_08_02, tripartite_example, monkeypatch):
         calls = []
@@ -338,7 +384,7 @@ class TestCertifySlices:
         keys, strategies = tuple(table.ordered_keys()), hw.strategies_for_table(table)
         dense = hw.solve_equality_feasibility(a, b)
         assert cert.feasible == dense.feasible
-        assert cert.strategies == strategies
+        assert list(cert.strategies) == list(strategies)
         assert cert.entry_keys == keys
         if cert.feasible:
             assert cert.weights.shape == (len(strategies),)
@@ -403,14 +449,7 @@ class TestCertifySlices:
     def test_ten_parties_in_bounded_memory(self, report_08_02):
         """0.8/0.2 table times 8 one-setting parties: the dense system is ~1.5 GB."""
         two = report_08_02.table
-        probs = two.probs
-        for _ in range(8):
-            probs = np.multiply.outer(probs, [0.3, 0.7])
-        table = JointProbabilityTable(
-            two.party_settings + tuple((f"T{k}",) for k in range(3, 11)),
-            two.party_outcomes + ((1, 0),) * 8,
-            probs,
-        )
+        table = _with_one_setting_parties(two, 8)
         start = time.perf_counter()
         hw.certify(table)
         elapsed = time.perf_counter() - start
@@ -431,6 +470,20 @@ class TestCertifySlices:
         assert np.count_nonzero(cert.dual) == np.count_nonzero(y)
         a2, _ = _constraint_system(two)
         assert float((y @ a2[:-1]).max()) <= DUAL_SLACK_TOL
+
+    def test_fourteen_parties_in_bounded_memory(self, report_08_02):
+        """81 * 2**12 = 331 776 full strategies, none of them held as an object."""
+        table = _with_one_setting_parties(report_08_02.table, 12)
+        tracemalloc.start()
+        try:
+            cert = hw.certify(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert not cert.feasible and cert.margin >= MIN_MARGIN
+        assert len(cert.strategies) == 81 * 2**12
+        assert cert.dual.shape == (table.probs.size + 1,)
 
     def test_strategy_cap_before_large_allocation(self, report_08_02):
         two = report_08_02.table

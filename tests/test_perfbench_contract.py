@@ -19,7 +19,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
-from hardywitness import cli  # noqa: E402
+from hardywitness import cli, lhv  # noqa: E402
 
 
 def test_cli_goldens_replay_in_process(tmp_path, monkeypatch):
@@ -49,3 +49,20 @@ def test_tracer_targets_are_defined_on_their_owners():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_traced_certify_enumerates_strategies_once():
+    """One ``strategies_for_table`` span per certify, as the traced counts assume."""
+    v = workloads.tripartite_example()
+    table = cli.multipartite_table(v, cli.multipartite_witness(v))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.active = True
+        cert = lhv.certify(table)
+        tracer.active = False
+    spans = {}
+    for name, _, _, _, count in tracer.spans:
+        spans.setdefault(name, []).append(count)
+    assert len(cert.strategies) == 162
+    assert spans["lhv.strategies_for_table"] == [162]
+    assert spans["lhv.certify"] == [(len(cert.entry_keys) + 1) * 162]
