@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import HardyWitnessError, NumericalFailure
 from .hardy import (
     DEFAULT_EPS_DEG,
@@ -86,21 +88,31 @@ def machine_dumps(obj) -> str:
     return "".join(pieces)
 
 
+def _subsystem_indices(part: str, what: str) -> tuple[int, ...]:
+    """Parse "1,2" (1-based subsystem indices of ``what``) into 0-based indices."""
+    indices = []
+    for token in part.split(","):
+        token = token.strip()
+        if not token.isdigit() or int(token) < 1:
+            raise ValueError(f"{what}: bad subsystem index {token!r}")
+        indices.append(int(token) - 1)
+    return tuple(indices)
+
+
 def parse_split(spec: str) -> Bipartition:
     """Parse "1,2|3" (1-based subsystem indices) into a 0-based bipartition."""
     parts = spec.split("|")
     if len(parts) != 2:
         raise ValueError(f"split {spec!r} must contain exactly one '|'")
-    sides = []
-    for part in parts:
-        indices = []
-        for token in part.split(","):
-            token = token.strip()
-            if not token.isdigit() or int(token) < 1:
-                raise ValueError(f"split {spec!r}: bad subsystem index {token!r}")
-            indices.append(int(token) - 1)
-        sides.append(tuple(indices))
-    return Bipartition(sides[0], sides[1])
+    return Bipartition(*(_subsystem_indices(part, f"split {spec!r}") for part in parts))
+
+
+def parse_peel_order(spec: str, n: int) -> tuple[int, ...]:
+    """Parse "4,3" (1-based) into a 0-based peel order, named as typed if invalid."""
+    order = _subsystem_indices(spec, f"peel order {spec!r}")
+    if n >= 3 and (len(order) != n - 2 or len(set(order)) != len(order) or max(order) >= n):
+        raise ValueError(f"peel order {spec!r} invalid for {n} subsystems")
+    return order
 
 
 def split_display(split: Bipartition) -> str:
@@ -318,34 +330,35 @@ def multiwitness_tree(w: MultipartiteWitness) -> dict:
     }
 
 
-def _strategy_tree(strategy, table: JointProbabilityTable) -> dict:
-    tree = {}
-    for party, labels in enumerate(table.party_settings):
-        for k, label in enumerate(labels):
-            tree[label] = strategy.outcome(party, k)
-    return tree
+def _strategy_tree(cert: LhvCertificate, k: int) -> dict:
+    strategy = cert.strategies[k]
+    return {
+        label: strategy.outcome(party, i)
+        for party, labels in enumerate(cert.table.party_settings)
+        for i, label in enumerate(labels)
+    }
 
 
-def certificate_tree(cert: LhvCertificate, table: JointProbabilityTable) -> dict:
+# Mixture weights and dual coefficients at or below this are not shown.
+DISPLAY_CUT = 1e-12
+
+
+def certificate_tree(cert: LhvCertificate) -> dict:
     tree = {"verdict": "feasible" if cert.feasible else "infeasible"}
     if cert.feasible:
         tree["mixture"] = [
-            {"weight": float(w), "strategy": _strategy_tree(cert.strategies[k], table)}
-            for k, w in enumerate(cert.weights)
-            if w > 1e-12
+            {"weight": float(cert.weights[k]), "strategy": _strategy_tree(cert, k)}
+            for k in np.flatnonzero(cert.weights > DISPLAY_CUT)
         ]
     else:
+        table = cert.table
+        n, axes = table.n_parties, (*table.party_settings, *table.party_outcomes)
         dual = []
-        for key, coefficient in zip(cert.entry_keys, cert.dual[:-1]):
-            if abs(coefficient) > 1e-12:
-                choice, outcomes = key
-                dual.append(
-                    {
-                        "settings": list(choice),
-                        "outcomes": list(outcomes),
-                        "coefficient": float(coefficient),
-                    }
-                )
+        for k in np.flatnonzero(np.abs(cert.dual[:-1]) > DISPLAY_CUT):
+            key = [axis[i] for axis, i in zip(axes, np.unravel_index(k, table.probs.shape))]
+            dual.append(
+                {"settings": key[:n], "outcomes": key[n:], "coefficient": float(cert.dual[k])}
+            )
         tree["dual"] = dual
         tree["dual_normalization"] = float(cert.dual[-1])
         tree["margin"] = cert.margin
@@ -400,9 +413,7 @@ def _bipartite_report(args, v) -> WitnessReport:
 
 
 def _multipartite_witness(args, v) -> MultipartiteWitness:
-    order = None
-    if args.peel_order:
-        order = tuple(int(t.strip()) - 1 for t in args.peel_order.split(","))
+    order = parse_peel_order(args.peel_order, len(v.dims)) if args.peel_order else None
     return multipartite_witness(
         v, order, exhaustive=args.exhaustive_orders, eps_deg=args.eps_deg, zero_tol=_zero_tol(args)
     )
@@ -495,24 +506,23 @@ def cmd_certify(args) -> int:
         "command": "certify",
         "mode": args.mode,
         "idealized": bool(args.idealized),
-        **certificate_tree(cert, table),
+        **certificate_tree(cert),
     }
     if args.format == "machine":
         print(machine_dumps(tree))
     elif cert.feasible:
         print("verdict: feasible (a local hidden-variable model reproduces the table)")
-        for k, w in enumerate(cert.weights):
-            if w > 1e-9:
-                print(f"  weight {fmt(w)}: {_strategy_tree(cert.strategies[k], table)}")
+        for term in tree["mixture"]:
+            print(f"  weight {fmt(term['weight'])}: {term['strategy']}")
     else:
         print("verdict: infeasible (no local hidden-variable model exists)")
         print(f"violation margin: {fmt(cert.margin)}")
         print(f"max strategy dot: {fmt(cert.max_strategy_dot)}")
         print("violated inequality (coefficients on table entries):")
-        for key, coefficient in zip(cert.entry_keys, cert.dual[:-1]):
-            if abs(coefficient) > 1e-12:
-                print(f"  {fmt(coefficient)} * {entry_label(*key)}")
-        print(f"  + {fmt(cert.dual[-1])} <= 0 for every local model")
+        for term in tree["dual"]:
+            label = entry_label(term["settings"], term["outcomes"])
+            print(f"  {fmt(term['coefficient'])} * {label}")
+        print(f"  + {fmt(tree['dual_normalization'])} <= 0 for every local model")
         print(f"  quantum table value: {fmt(cert.margin)} > 0")
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 

@@ -66,7 +66,8 @@ class StrategySpace(Sequence):
 
     ``answers[p]`` holds party p's answer tables as integer rows, in
     ``itertools.product(outcomes, repeat=n_settings)`` order; item k, built only
-    when read, takes row ``np.unravel_index(k, shape)[p]`` of each party p.
+    when read, takes row ``np.unravel_index(k, shape)[p]`` of each party p, and
+    iteration yields the items in that order from a product over the rows.
     """
 
     def __init__(self, answers):
@@ -81,6 +82,10 @@ class StrategySpace(Sequence):
         return DeterministicStrategy(
             tuple(tuple(a[r].tolist()) for a, r in zip(self.answers, rows))
         )
+
+    def __iter__(self):
+        rows = [list(map(tuple, a.tolist())) for a in self.answers]
+        return map(DeterministicStrategy, itertools.product(*rows))
 
 
 def enumerate_strategies(settings_per_party, outcomes_per_party) -> StrategySpace:
@@ -112,9 +117,10 @@ def strategies_for_table(table: JointProbabilityTable) -> StrategySpace:
 class LhvCertificate:
     """Feasibility verdict for a table, with the evidence either way.
 
-    ``strategies`` is the table's ``StrategySpace``.  Feasible: ``weights``
-    is a probability vector over it whose mixture reproduces every entry.
-    Infeasible: ``dual`` (indexed by ``entry_keys`` plus a trailing
+    ``table`` is the certified table itself and ``strategies`` its
+    ``StrategySpace``.  Feasible: ``weights`` is a probability vector over it
+    whose mixture reproduces every entry.  Infeasible: ``dual`` (indexed by
+    ``table.probs.ravel()``, that is ``entry_keys``, plus a trailing
     normalization component) satisfies dual . column <= 0 for every
     strategy and dual . table = ``margin`` > 0; for a table with
     single-setting parties it weighs one slice only (see ``certify``) and
@@ -122,12 +128,17 @@ class LhvCertificate:
     """
 
     feasible: bool
+    table: JointProbabilityTable
     strategies: StrategySpace
-    entry_keys: tuple
     weights: np.ndarray | None = None
     dual: np.ndarray | None = None
     margin: float | None = None
     max_strategy_dot: float | None = None
+
+    @property
+    def entry_keys(self) -> tuple:
+        """The table's ``ordered_keys()``, built when read."""
+        return tuple(self.table.ordered_keys())
 
 
 def _constraint_system(table: JointProbabilityTable):
@@ -230,7 +241,6 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
             dual[slices[:, :block]] = math.copysign(1.0, excess)
             dual[-1] = -math.copysign(1.0, excess)
             max_dot, margin = 0.0, abs(excess)
-    keys = tuple(table.ordered_keys())
     if dual is not None:
         if max_dot > DUAL_SLACK_TOL or margin < MIN_MARGIN:
             raise NumericalFailure(
@@ -238,7 +248,7 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
                 f"{max_dot!r}, margin {margin!r}"
             )
         return LhvCertificate(
-            False, strategies, keys, dual=dual, margin=margin, max_strategy_dot=max_dot
+            False, table, strategies, dual=dual, margin=margin, max_strategy_dot=max_dot
         )
     weights = np.array(solved)
     if weights.min() < -1e-12:
@@ -251,7 +261,7 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
     # A single-setting party's answer table is its slice outcome.
     counts = [strategies.shape[p] for p in single + core]
     weights = weights.reshape(counts).transpose(np.argsort(single + core)).ravel()
-    return LhvCertificate(True, strategies, keys, weights=weights)
+    return LhvCertificate(True, table, strategies, weights=weights)
 
 
 def idealized_table(table: JointProbabilityTable) -> JointProbabilityTable:

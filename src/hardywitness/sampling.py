@@ -229,7 +229,8 @@ def analyze(records: ShotRecords, exact_table: JointProbabilityTable) -> Frequen
     A zero condition passes iff its outcome pair never occurred.  The flagged
     condition passes iff it occurred at least once and its frequency sits
     within ``DEFAULT_SIGMA`` binomial standard errors of the exact value.  Conditions
-    whose setting pair received no shots are reported unevaluated.
+    whose setting pair received no shots are reported unevaluated.  An exact
+    entry a hair outside [0, 1], as ``check`` tolerates, has standard error 0.
     """
     n_pairs = len(records.outcome_pairs)
     n_cells = len(records.schedule) * n_pairs
@@ -251,7 +252,7 @@ def analyze(records: ShotRecords, exact_table: JointProbabilityTable) -> Frequen
         for outcomes, exact in exact_table.row(choice):
             count = counts.get((choice, outcomes), 0)
             freq = count / n if n else None
-            se = (exact * (1.0 - exact) / n) ** 0.5 if n else None
+            se = (max(exact * (1.0 - exact), 0.0) / n) ** 0.5 if n else None
             cells.append(CellStats(choice, outcomes, count, n, freq, exact, se))
     verdicts = []
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
@@ -264,7 +265,7 @@ def analyze(records: ShotRecords, exact_table: JointProbabilityTable) -> Frequen
         elif cond.expect_zero:
             passed = count == 0
         else:
-            se = (exact * (1.0 - exact) / n) ** 0.5
+            se = (max(exact * (1.0 - exact), 0.0) / n) ** 0.5
             passed = count > 0 and abs(freq - exact) <= DEFAULT_SIGMA * se
         verdicts.append(ConditionStats(cond, count, n, freq, exact, passed))
     return FrequencyReport(len(records), DEFAULT_SIGMA, tuple(cells), tuple(verdicts))

@@ -7,7 +7,7 @@ import pytest
 import hardywitness as hw
 from hardywitness import cli
 from hardywitness.cli import main, machine_dumps, parse_split
-from hardywitness.hardy import GRID_CAP
+from hardywitness.hardy import GRID_CAP, JointProbabilityTable, entry_label
 from hardywitness.multipartite import ORDER_CAP
 from hardywitness.sampling import SHOT_CAP
 
@@ -148,6 +148,51 @@ class TestCertifyCommand:
                      "--pair", "0,1", "--allow-degenerate"])
         assert code == 0
         assert "feasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "case, expected_code", [("bell-degenerate", 0), ("tripartite", 3)]
+    )
+    def test_human_and_machine_list_the_same_terms(
+        self, bell_file, tri_file, case, expected_code, capsys
+    ):
+        where = {
+            "bell-degenerate": ["--state", bell_file, "--split", "1|2",
+                                "--pair", "0,1", "--allow-degenerate"],
+            "tripartite": ["--state", tri_file, "--mode", "multipartite"],
+        }[case]
+        assert main(["certify", *where]) == expected_code
+        human = capsys.readouterr().out.splitlines()
+        assert main(["certify", *where, "--format", "machine"]) == expected_code
+        doc = json.loads(capsys.readouterr().out)
+        if doc["verdict"] == "feasible":
+            shown = [line for line in human if line.startswith("  weight ")]
+            expected = [
+                f"  weight {cli.fmt(m['weight'])}: {m['strategy']}" for m in doc["mixture"]
+            ]
+        else:
+            shown = [line for line in human if " * P(" in line]
+            expected = [
+                f"  {cli.fmt(t['coefficient'])} * {entry_label(t['settings'], t['outcomes'])}"
+                for t in doc["dual"]
+            ]
+        assert expected and shown == expected
+
+    def test_certificate_reads_no_key_list(self, report_08_02, tripartite_example, monkeypatch):
+        bell = hw.make_state([2, 2], [1, 0, 0, 1])
+        d = hw.schmidt_decompose(bell, SPLIT)
+        con = hw.build_construction(d, (0, 1), allow_degenerate=True)
+        tables = [
+            report_08_02.table,
+            hw.multipartite_table(tripartite_example, hw.multipartite_witness(tripartite_example)),
+            hw.joint_table(bell, con),
+        ]
+
+        def refuse(self):
+            raise AssertionError("ordered_keys read")
+
+        monkeypatch.setattr(JointProbabilityTable, "ordered_keys", refuse)
+        trees = [cli.certificate_tree(hw.certify(table)) for table in tables]
+        assert [t["verdict"] for t in trees] == ["infeasible", "infeasible", "feasible"]
 
     def test_degenerate_pair_without_flag_is_usage_error(self, bell_file, capsys):
         code = main(["certify", "--state", bell_file, "--split", "1|2",
@@ -431,6 +476,24 @@ class TestExitCodes:
 
     def test_bad_split_indices(self, state_file, capsys):
         assert main(["schmidt", "--state", state_file, "--split", "1|3"]) == 1
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ("4", "peel order '4' invalid for 3 subsystems"),
+            ("3,3", "peel order '3,3' invalid for 3 subsystems"),
+            ("x", "peel order 'x': bad subsystem index 'x'"),
+            ("0", "peel order '0': bad subsystem index '0'"),
+        ],
+    )
+    def test_bad_peel_order_named_as_typed(self, tri_file, order, message, capsys):
+        for command in ("witness", "certify"):
+            code = main([command, "--state", tri_file, "--mode", "multipartite",
+                         "--peel-order", order])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["--eps-deg", "--zero-tol"])

@@ -96,6 +96,16 @@ class TestStrategySpace:
             space[0:1]
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(table_shapes())
+    def test_iteration_matches_indexing(self, shape):
+        party_settings, party_outcomes = shape
+        space = hw.enumerate_strategies([len(s) for s in party_settings], party_outcomes)
+        assert [s.assignments for s in space] == [
+            space[k].assignments for k in range(len(space))
+        ]
+
+
 class TestConstraintSystem:
     @settings(max_examples=60, deadline=None)
     @given(table_shapes())
@@ -472,7 +482,8 @@ class TestCertifySlices:
         assert float((y @ a2[:-1]).max()) <= DUAL_SLACK_TOL
 
     def test_fourteen_parties_in_bounded_memory(self, report_08_02):
-        """81 * 2**12 = 331 776 full strategies, none of them held as an object."""
+        """81 * 2**12 = 331 776 full strategies, none of them held as an object,
+        and no list of the 147 456 entry keys."""
         table = _with_one_setting_parties(report_08_02.table, 12)
         tracemalloc.start()
         try:
@@ -480,7 +491,7 @@ class TestCertifySlices:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 8 * 2**20
         assert not cert.feasible and cert.margin >= MIN_MARGIN
         assert len(cert.strategies) == 81 * 2**12
         assert cert.dual.shape == (table.probs.size + 1,)

@@ -4,7 +4,9 @@ The CLI goldens pin the exit code and stdout sha256 of every command the
 benchmark's ``cli`` workload can issue; here each one is replayed in-process
 through ``cli.main``.  The tracer patches module and class attributes by name
 and reads them from ``owner.__dict__``, so each of its targets must be
-defined on its owner.
+defined on its owner.  The benchmark re-checks every certificate with
+``reference.certificate_problems``, so what it reads from a certificate is
+checked here too.
 """
 
 import contextlib
@@ -17,8 +19,10 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import reference  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+import hardywitness as hw  # noqa: E402
 from hardywitness import cli, lhv  # noqa: E402
 
 
@@ -66,3 +70,29 @@ def test_traced_certify_enumerates_strategies_once():
     assert len(cert.strategies) == 162
     assert spans["lhv.strategies_for_table"] == [162]
     assert spans["lhv.certify"] == [(len(cert.entry_keys) + 1) * 162]
+
+
+def test_reference_accepts_the_certificates_it_re_checks():
+    """Infeasible and feasible certificates, bipartite and multipartite.
+
+    The flagged probability passed is the table's own: 0 for the two
+    feasible controls, an equal-weight pair and the product state |020>.
+    """
+    split = hw.Bipartition((0,), (1,))
+    report = hw.make_witness_report(workloads.state_08_02(), split)
+    bell = hw.make_state([2, 2], [1, 0, 0, 1])
+    construction = hw.build_construction(
+        hw.schmidt_decompose(bell, split), (0, 1), allow_degenerate=True
+    )
+    tri = workloads.tripartite_example()
+    w = hw.multipartite_witness(tri)
+    cases = [
+        (report.table, report.hardy_measured, False),
+        (hw.joint_table(bell, construction), 0.0, True),
+        (hw.multipartite_table(tri, w), w.combined_probability, False),
+        (hw.multipartite_table(hw.basis_state([3, 3, 2], (0, 2, 0)), w), 0.0, True),
+    ]
+    for table, flagged, feasible in cases:
+        cert = lhv.certify(table)
+        assert cert.feasible == feasible
+        assert reference.certificate_problems(table, cert, flagged) == []

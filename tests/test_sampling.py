@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import hardywitness as hw
 from conftest import random_state
+from hardywitness.cli import machine_dumps
+from hardywitness.hardy import FLAGGED_CONDITION
 from hardywitness.errors import TooLarge
 from hardywitness.sampling import (
     CHUNK,
@@ -249,6 +251,28 @@ class TestAnalyze:
         assert len(evaluated) == 1  # only (X1, X2) received a shot
         assert len(unevaluated) == 5
         assert report.shots == 1
+
+    @pytest.mark.parametrize("case", ["entry-below-zero", "flagged-above-one"])
+    def test_entries_just_outside_unit_interval_give_real_errors(self, report_08_02, case):
+        """``check`` tolerates entries a hair outside [0, 1]; their variance is 0."""
+        table = report_08_02.table
+        probs = table.probs.copy()
+        if case == "entry-below-zero":
+            probs[table.index(("X1", "X2"), (1, 1))] = -1e-12
+        else:
+            # every party answers +1 for sure, the flagged entry by 1 + 5e-13
+            probs[...] = 0.0
+            probs[:, :, 0, 0] = 1.0
+            probs[table.index(FLAGGED_CONDITION.settings, (1, 1))] += 5e-13
+            probs[table.index(FLAGGED_CONDITION.settings, (1, -1))] -= 5e-13
+        edited = hw.JointProbabilityTable(table.party_settings, table.party_outcomes, probs)
+        edited.check()
+        report = hw.analyze(sample_from_table(edited, 400, 42), edited)
+        assert all(isinstance(c.std_error, float) for c in report.cells)
+        outside = [c.std_error for c in report.cells if not 0 <= c.exact <= 1]
+        assert outside and set(outside) == {0.0}
+        assert all(c.passed in (True, False) for c in report.conditions)
+        machine_dumps([[c.settings, c.outcomes, c.exact, c.std_error] for c in report.cells])
 
     def test_convergence_over_many_seeds(self, report_08_02):
         # 100 independent seeds at 1e4 shots: essentially every condition
