@@ -98,10 +98,11 @@ def max_hardy_probability_qubit(grid: int = 10**6) -> tuple[float, float]:
     return best_t, f(best_t)
 
 
-def _check_eps_deg(eps_deg: float) -> None:
-    """Reject a degeneracy tolerance that is NaN, infinite, zero or negative."""
-    if not 0 < eps_deg < math.inf:
-        raise ValueError("eps_deg must be finite and positive")
+def _check_tolerances(**tolerances: float) -> None:
+    """Reject a tolerance (by keyword name) that is NaN, infinite, zero or negative."""
+    for name, value in tolerances.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
 
 
 def distinct_weight_pairs(
@@ -113,7 +114,7 @@ def distinct_weight_pairs(
     list means the construction does not apply to this state (single
     Schmidt term, or all weights equal within ``eps_deg``).
     """
-    _check_eps_deg(eps_deg)
+    _check_tolerances(eps_deg=eps_deg)
     rank = len(weights)
     pairs = [
         (i, j)
@@ -240,7 +241,7 @@ def build_construction(
     zero, which is occasionally useful as a control case.  ``eps_deg`` must
     be finite and positive either way, as for ``distinct_weight_pairs``.
     """
-    _check_eps_deg(eps_deg)
+    _check_tolerances(eps_deg=eps_deg)
     i, j = pair
     if not (0 <= i < d.rank and 0 <= j < d.rank) or i == j:
         raise ValueError(f"pair {pair} invalid for rank {d.rank}")
@@ -529,8 +530,10 @@ def make_witness_report(
 
     With ``pair=None`` the pair comes from :func:`choose_pair`; when no
     distinct pair exists the state is reported as not applicable, with its
-    reason (nothing can be concluded about it).
+    reason (nothing can be concluded about it).  ``eps_deg`` and
+    ``zero_tol`` must be finite and positive, or ``ValueError`` is raised.
     """
+    _check_tolerances(eps_deg=eps_deg, zero_tol=zero_tol)
     d = schmidt_decompose(v, split)
     weights = tuple(float(w) for w in d.weights)
     if pair is None:

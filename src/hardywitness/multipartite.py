@@ -29,12 +29,22 @@ scores at most q^2 * HARDY_MAX.  A branch whose cap, widened by
 :data:`BOUND_SLACK`, cannot beat an earlier sibling, or whose marked-weight
 prefix times that cap cannot beat the best order already finished, is
 skipped unvisited.  A skipped branch could at best tie, and ties keep the
-first result, so the answer is the unpruned search's, bit for bit.  For a
-generic 5-qubit state the exhaustive search makes about 90 peel calls
-instead of 285 (and 420 when every order peeled afresh) and one report
-instead of 480; the default order makes 7 peel calls and one report.  For
-GHZ5 it makes 19 peel calls and for W5 22 (165 and 225 with a memo keyed by
-the path from the searched state).
+first result, so the answer is the unpruned search's, bit for bit.
+
+Once an order has finished, a node is also capped before it is peeled.
+Along any chain of peels below it, the marked q^2 of the parties still to
+peel multiply to the squared overlap of its residual with a product vector
+on those parties, which is at most the top eigenvalue of their reduced state
+(the geometric-measure bound; Wei & Goldbart, PRA 68, 042307, 2003).
+:func:`peel_chain_cap` bounds that eigenvalue from above with three small
+matrix products and no eigensolver, and a node whose prefix times that cap
+times ``HARDY_MAX`` cannot beat the best finished order is skipped unpeeled.
+For a generic 5-qubit state the exhaustive search makes 54 peel calls
+instead of 89 with the branch caps alone, 285 unpruned and 420 when every
+order peeled afresh, and one report instead of 480; the default order makes
+7 peel calls, one report and no cap.  For GHZ5 it makes 19 peel calls and
+for W5 22 (165 and 225 with a memo keyed by the path from the searched
+state): neither finishes an applicable order, so neither is ever capped.
 
 Each table (and each witness's condition values) builds its measurement
 chain once: every party's single-subsystem split and its setting-to-observable
@@ -49,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +78,7 @@ from .hardy import (
     JointProbabilityTable,
     Observable,
     WitnessReport,
+    _check_tolerances,
     choose_pair,
     hardy_probability,
     make_witness_report,
@@ -86,6 +98,9 @@ from .states import (
 # rounding: marked q^2 multiplied top-down against bottom-up, and weights
 # whose squares sum to slightly more than 1.
 BOUND_SLACK = 1.0 + 1e-9
+# Added to the spectral cap of :func:`peel_chain_cap` to cover the rounding
+# of its matrix products and of the Jacobi weights a chain multiplies.
+CAP_ROUNDING = 1e-12
 # Most peel orders one exhaustive search may try: n!/2 orders for n parties,
 # so up to 8 parties (20 160 orders) are searched and 9 (181 440) are refused.
 ORDER_CAP = 10**5
@@ -142,6 +157,28 @@ def peel(v: StateVector, subsystem: int) -> tuple[PeelBranch, ...]:
     return tuple(branches)
 
 
+def peel_chain_cap(v: StateVector, positions: tuple[int, ...]) -> float:
+    """A cap on the product of marked q^2 along any chain that peels ``positions``.
+
+    Peeling the factors at the local ``positions`` one after another, in any
+    order and through any branches, multiplies q^2 factors whose product is
+    the squared overlap of ``v`` with a product vector on those factors.  That
+    overlap is at most the top eigenvalue of their reduced state (the
+    geometric-measure bound; Wei & Goldbart, PRA 68, 042307, 2003).  The cap
+    needs no eigensolver: with G the Gram matrix of the smaller side of the
+    split (``positions`` | the rest), whose nonzero eigenvalues are the
+    reduced state's, ``||G^2 G^2||_F^(1/4) = (sum of lambda^8)^(1/8)`` is at
+    least lambda_max, and :data:`CAP_ROUNDING` is added for rounding.
+    """
+    rest = tuple(k for k in range(len(v.dims)) if k not in positions)
+    side = math.prod(v.dims[k] for k in positions)
+    split = Bipartition(positions, rest)
+    m = reshape_bipartite(v, split if side * side <= v.amps.size else split.swapped())
+    g = m @ m.conj().T
+    g2 = g @ g
+    return float(np.linalg.norm(g2 @ g2)) ** 0.25 + CAP_ROUNDING
+
+
 def build_t_observable(
     branches: tuple[PeelBranch, ...], subsystem: int
 ) -> Observable:
@@ -172,10 +209,12 @@ def _recurse(
     vectors): ``combined`` carries the same ``hardy_probability`` float that
     ``make_witness_report`` returns as ``hardy_closed_form``, and no report
     is built here.  ``memo`` is keyed by content: ``(dims, amplitude
-    bytes)`` holds a leaf's score and ``(dims, amplitude bytes, local
-    index)`` the peel of that factor.  Peels and scores are deterministic
-    functions of those bytes, so every path that reaches a residual with
-    the same bytes shares its peels and its score.
+    bytes)`` holds a leaf's score, ``(dims, amplitude bytes, local index)``
+    the peel of that factor and ``(dims, amplitude bytes, local positions)``
+    the :func:`peel_chain_cap` of the factors still to peel, which depends
+    on their set and not their order.  Peels, scores and caps are
+    deterministic functions of those bytes, so every path that reaches a
+    residual with the same bytes shares them.
 
     A branch scores weight^2 x its downstream combined probability, and the
     strict ``>`` keeps the first of equal scores.  Branch ``k`` is skipped
@@ -185,9 +224,19 @@ def _recurse(
     the cap is at most ``floor`` (the best combined probability of the
     orders already finished).  The cap bounds the branch's score, so a
     skipped branch could at best tie the one kept, and the strict ``>``
-    never lets a tie replace it.  A result scoring at most ``floor / prefix``
-    may come back worse than the full search's, or as None, but such a
-    result never wins.
+    never lets a tie replace it.
+
+    Once an order has finished (``floor > 0``), a node that still has a
+    party to peel is skipped before its peel when ``prefix`` times its
+    ``peel_chain_cap`` R times ``HARDY_MAX``, widened by
+    :data:`BOUND_SLACK`, is at most ``floor``.  Every result below the node
+    multiplies marked q^2 whose product is at most R, and a leaf score at
+    most ``HARDY_MAX``, so the node could at best tie the order already
+    finished, and the strict ``>`` between orders keeps that one.  Default
+    and explicit-order searches finish no order before their only one, so
+    they never compute R.  A result scoring at most ``floor / prefix`` may
+    come back worse than the full search's, or as None, but such a result
+    never wins.
     """
     content = (v.dims, v.amps.tobytes())
     if len(labels) == 2:
@@ -199,6 +248,14 @@ def _recurse(
             )
         score = memo[content]
         return None if score is None else ((), v, 1.0, score)
+    if floor > 0:
+        still = tuple(i for i, label in enumerate(labels) if label in order)
+        cap_key = content + (still,)
+        chain_cap = memo.get(cap_key)
+        if chain_cap is None:
+            chain_cap = memo[cap_key] = peel_chain_cap(v, still)
+        if prefix * chain_cap * HARDY_MAX * BOUND_SLACK <= floor:
+            return None
     target = order[0]
     position = labels.index(target)
     key = content + (position,)
@@ -365,11 +422,14 @@ def multipartite_witness(
     once, for the winning leaf, and raises :class:`NumericalFailure` as
     before if that leaf fails its checks.  A losing leaf never gets a
     report, so a numerical failure that only its report would have shown
-    no longer aborts the call.
+    no longer aborts the call.  ``eps_deg`` and ``zero_tol`` must be finite
+    and positive, and every ``peel_order`` entry an integer (numpy integers
+    included), or ``ValueError`` is raised before any peel.
     """
     n = len(v.dims)
     if n < 3:
         raise ValueError("multipartite reduction needs at least three subsystems")
+    _check_tolerances(eps_deg=eps_deg, zero_tol=zero_tol)
     labels = tuple(range(n))
     if exhaustive:
         if peel_order is not None:
@@ -379,10 +439,16 @@ def multipartite_witness(
             raise TooLarge(f"{count} peel orders exceed the cap of {ORDER_CAP}")
         orders = itertools.permutations(labels, n - 2)
     elif peel_order is not None:
-        order = tuple(int(k) for k in peel_order)
-        if len(order) != n - 2 or len(set(order)) != len(order) or not all(
-            0 <= k < n for k in order
-        ):
+        order = tuple(peel_order)
+        try:
+            order = tuple(operator.index(k) for k in order)
+        except TypeError:
+            valid = False
+        else:
+            valid = len(order) == n - 2 and len(set(order)) == len(order) and all(
+                0 <= k < n for k in order
+            )
+        if not valid:
             raise ValueError(f"peel order {order} invalid for {n} subsystems")
         orders = [order]
     else:

@@ -154,6 +154,15 @@ class TestConstruction:
             with pytest.raises(ValueError, match="eps_deg must be finite and positive"):
                 call()
 
+    @pytest.mark.parametrize("zero_tol", [float("nan"), math.inf, 0.0, -1.0])
+    def test_zero_tol_must_be_finite_and_positive(self, zero_tol):
+        # inf used to pass every zero condition, and nan, 0 or -1 to fail them all
+        bell = hw.make_state([2, 2], [1, 0, 0, 1])
+        applicable = hw.make_state([2, 2], [0.8**0.5, 0, 0, 0.2**0.5])
+        for v, pair in [(bell, None), (bell, (0, 1)), (applicable, None)]:
+            with pytest.raises(ValueError, match="zero_tol must be finite and positive"):
+                hw.make_witness_report(v, SPLIT, pair=pair, zero_tol=zero_tol)
+
     def test_bad_pair_index(self, state_08_02):
         d = hw.schmidt_decompose(state_08_02, SPLIT)
         with pytest.raises(ValueError):

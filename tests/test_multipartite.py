@@ -190,6 +190,24 @@ class TestMultipartiteWitness:
         with pytest.raises(ValueError):
             hw.multipartite_witness(tripartite_example, peel_order=(5,))
 
+    @pytest.mark.parametrize("order", [(3.7,), (2.0,), ("2",), (None,)])
+    def test_non_integer_peel_order_rejected(self, tripartite_example, order):
+        # 3.7 used to be truncated to party 3
+        with pytest.raises(ValueError, match="peel order .* invalid for 3 subsystems"):
+            hw.multipartite_witness(tripartite_example, peel_order=order)
+
+    def test_numpy_integer_peel_order(self, tripartite_example):
+        w = hw.multipartite_witness(tripartite_example, peel_order=(np.int64(2),))
+        assert w.applicable and w.steps[0].subsystem == 2
+        assert type(w.steps[0].subsystem) is int
+
+    @pytest.mark.parametrize("value", [float("nan"), math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["eps_deg", "zero_tol"])
+    def test_tolerances_must_be_finite_and_positive(self, tripartite_example, name, value):
+        for exhaustive in (False, True):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                hw.multipartite_witness(tripartite_example, exhaustive=exhaustive, **{name: value})
+
     def test_peel_order_with_exhaustive_rejected(self, tripartite_example):
         # an invalid order too: it used to be ignored, not validated
         for order in [(2,), (7,)]:
@@ -444,7 +462,7 @@ class TestSearchWorkCounts:
     def test_exhaustive_peels_each_prefix_once(self, counts, qubits5):
         w = hw.multipartite_witness(qubits5, exhaustive=True)
         assert w.applicable
-        assert counts == {"peel": 89, "report": 1}
+        assert counts == {"peel": 54, "report": 1}
 
     def test_default_order(self, counts, qubits5):
         w = hw.multipartite_witness(qubits5)
@@ -452,7 +470,7 @@ class TestSearchWorkCounts:
         assert counts == {"peel": 1 + 2 + 4, "report": 1}
 
     @pytest.mark.parametrize(
-        "name, peels, reports", [("ghz5", 19, 0), ("w5", 22, 0), ("phiphi0", 24, 1)]
+        "name, peels, reports", [("ghz5", 19, 0), ("w5", 22, 0), ("phiphi0", 22, 1)]
     )
     def test_exhaustive_peels_each_residual_once(self, counts, name, peels, reports):
         # every peel order reaches the same few residuals, bit for bit
@@ -477,6 +495,24 @@ class TestSearchWorkCounts:
         # one decomposition per peel, and one two-party one for the report
         assert len(decomposed) == counts["peel"] + counts["report"]
         assert decomposed.count(2) == counts["report"]
+
+    def test_single_order_searches_compute_no_cap(self, monkeypatch, qubits5):
+        from hardywitness import multipartite as mp
+
+        caps = []
+
+        def counted(v, positions, _fn=mp.peel_chain_cap):
+            caps.append(positions)
+            return _fn(v, positions)
+
+        monkeypatch.setattr(mp, "peel_chain_cap", counted)
+        for _, v in ORACLE_GRID + [("qubits5", qubits5)]:
+            n = len(v.dims)
+            hw.multipartite_witness(v)
+            hw.multipartite_witness(v, peel_order=tuple(range(n - 2)))
+        assert caps == []
+        assert hw.multipartite_witness(qubits5, exhaustive=True).applicable
+        assert caps
 
     def test_orders_above_the_cap_raise_before_any_peel(self, counts):
         from hardywitness import multipartite as mp
@@ -516,6 +552,55 @@ class TestSearchWorkCounts:
             tracemalloc.stop()
         # the 20 160 orders of 8 parties take about 1.9 MB as a list
         assert peak < 2**18
+
+
+@st.composite
+def cap_states(draw):
+    """States of 3-5 parties with dims 2-3, some with zeroed amplitudes."""
+    dims = draw(
+        st.lists(st.integers(2, 3), min_size=3, max_size=5).filter(lambda d: math.prod(d) <= 48)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = random_state(rng, dims)
+    if draw(st.booleans()):
+        amps = np.where(rng.random(v.amps.size) < draw(st.sampled_from([0.3, 0.6])), 0, v.amps)
+        amps[rng.integers(amps.size)] = 1.0
+        v = hw.make_state(dims, amps)
+    return v
+
+
+def _best_chain(v, labels, order, peels):
+    """Largest product of q^2 over every branch chain that peels ``order``."""
+    if not order:
+        return 1.0
+    key = (labels, v.amps.tobytes(), order[0])
+    if key not in peels:
+        peels[key] = hw.peel(v, labels.index(order[0]))
+    rest = tuple(l for l in labels if l != order[0])
+    return max(
+        br.weight * br.weight * _best_chain(br.residual, rest, order[1:], peels)
+        for br in peels[key]
+    )
+
+
+class TestPeelChainCap:
+    @settings(max_examples=60, deadline=None)
+    @given(cap_states())
+    def test_caps_every_chain_of_every_order(self, v):
+        from hardywitness import multipartite as mp
+
+        n = len(v.dims)
+        labels = tuple(range(n))
+        peels = {}
+        for still in itertools.combinations(labels, n - 2):
+            cap = mp.peel_chain_cap(v, still)
+            for order in itertools.permutations(still):
+                assert cap >= _best_chain(v, labels, order, peels)
+            # within a factor rank^(1/8) of the top eigenvalue it bounds
+            rest = tuple(k for k in labels if k not in still)
+            m = hw.reshape_bipartite(v, hw.Bipartition(still, rest))
+            top = np.linalg.eigvalsh(m @ m.conj().T)[-1]
+            assert top <= cap <= top * min(m.shape) ** 0.125 + 2e-12
 
 
 # --- the pruned exhaustive search against the unpruned one, at n = 6 ---
