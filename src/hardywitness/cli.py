@@ -1,9 +1,15 @@
 """Command-line interface: schmidt, witness, certify, simulate, scan.
 
+Each ``cmd_*`` computes one output tree and returns it; its ``show_*``
+renders the human format from that tree alone, so both formats show the
+same values.  Only ``main`` loads the state, writes stdout and picks the
+exit code.  Machine output is the tree as JSON with a fixed field order and
+floats printed to 12 significant digits, so identical invocations produce
+identical bytes.
+
 Exit codes: 0 success (including a Feasible certificate), 3 Infeasible
-certificate, 1 usage or input errors, 2 numerical failures.  Machine output
-is JSON with a fixed field order and floats printed to 12 significant
-digits, so identical invocations produce identical bytes.
+certificate, 1 usage or input errors, 2 numerical failures.  A closed
+stdout pipe drops the output silently and keeps the command's exit code.
 """
 
 from __future__ import annotations
@@ -11,11 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
-from .errors import HardyWitnessError, NumericalFailure
+from .errors import BadPartition, HardyWitnessError, NumericalFailure
 from .hardy import (
     DEFAULT_EPS_DEG,
     DEFAULT_ZERO_TOL,
@@ -116,11 +123,7 @@ def parse_peel_order(spec: str, n: int) -> tuple[int, ...]:
 
 
 def split_display(split: Bipartition) -> str:
-    return (
-        ",".join(str(i + 1) for i in split.side1)
-        + "|"
-        + ",".join(str(i + 1) for i in split.side2)
-    )
+    return "|".join(",".join(str(i + 1) for i in side) for side in (split.side1, split.side2))
 
 
 def parse_pair(spec: str | None):
@@ -249,8 +252,12 @@ def _reject_unread_flags(args) -> None:
 
 
 def _split_for(args, v) -> Bipartition:
-    split = parse_split(args.split)
-    split.check(len(v.dims))
+    """The ``--split`` bipartition of ``v``, named as typed if it is not one."""
+    split, n = parse_split(args.split), len(v.dims)
+    try:
+        split.check(n)
+    except BadPartition:
+        raise ValueError(f"split {args.split!r} does not partition {n} subsystems") from None
     return split
 
 
@@ -270,7 +277,7 @@ def table_tree(table: JointProbabilityTable) -> list:
 
 
 def witness_tree(report: WitnessReport) -> dict:
-    tree = {
+    return {
         "applicable": report.applicable,
         "reason": report.reason,
         "split": split_display(report.split),
@@ -293,7 +300,6 @@ def witness_tree(report: WitnessReport) -> dict:
         "decomposition_residuals": list(report.residuals) if report.residuals else None,
         "table": table_tree(report.table) if report.table else None,
     }
-    return tree
 
 
 def multiwitness_tree(w: MultipartiteWitness) -> dict:
@@ -371,34 +377,32 @@ def certificate_tree(cert: LhvCertificate) -> dict:
     return tree
 
 
-def cmd_schmidt(args) -> int:
-    v = load_state(args.state)
+def cmd_schmidt(args, v) -> dict:
     split = _split_for(args, v)
     d = schmidt_decompose(v, split)
     pairs = distinct_weight_pairs(d.weights, args.eps_deg)
-    if args.format == "machine":
-        print(machine_dumps({
-            "command": "schmidt",
-            "state": args.state,
-            "split": split_display(split),
-            "rank": d.rank,
-            "weights": [float(w) for w in d.weights],
-            "distinct_pairs": [list(p) for p in pairs],
-            "usable_pair": bool(pairs),
-        }))
-        return EXIT_OK
-    print(f"state: {args.state}")
-    print(f"split: {split_display(split)}")
-    print(f"rank: {d.rank}")
-    print("weights: " + " ".join(fmt(w) for w in d.weights))
-    if pairs:
-        print(
-            "distinct weight pairs (best first): "
-            + " ".join(f"({i},{j})" for i, j in pairs)
+    return {
+        "command": "schmidt",
+        "state": args.state,
+        "split": split_display(split),
+        "rank": d.rank,
+        "weights": [float(w) for w in d.weights],
+        "distinct_pairs": [list(p) for p in pairs],
+        "usable_pair": bool(pairs),
+    }
+
+
+def show_schmidt(tree, eps_deg):
+    yield f"state: {tree['state']}"
+    yield f"split: {tree['split']}"
+    yield f"rank: {tree['rank']}"
+    yield "weights: " + " ".join(fmt(w) for w in tree["weights"])
+    if tree["usable_pair"]:
+        yield "distinct weight pairs (best first): " + " ".join(
+            f"({i},{j})" for i, j in tree["distinct_pairs"]
         )
     else:
-        print(f"no usable pair: {choose_pair(d.weights, args.eps_deg)[1]}")
-    return EXIT_OK
+        yield f"no usable pair: {choose_pair(tree['weights'], eps_deg)[1]}"
 
 
 def _zero_tol(args) -> float:
@@ -419,57 +423,50 @@ def _multipartite_witness(args, v) -> MultipartiteWitness:
     )
 
 
-def cmd_witness(args) -> int:
-    v = load_state(args.state)
+def cmd_witness(args, v) -> dict:
     if args.mode == "multipartite":
-        w = _multipartite_witness(args, v)
-        if args.format == "machine":
-            tree = {"command": "witness", "mode": "multipartite", **multiwitness_tree(w)}
-            print(machine_dumps(tree))
-            return EXIT_OK
-        if not w.applicable:
-            print("verdict: not applicable")
-            print(f"reason: {w.reason}")
-            return EXIT_OK
-        print("verdict: applicable")
-        for s in w.steps:
-            print(
-                f"peeled subsystem {s.subsystem + 1}: weights "
-                + " ".join(fmt(q) for q in s.weights)
-                + f"; marked branch {s.marked} -> {s.observable.label}={s.marked_eigenvalue}"
+        tree = multiwitness_tree(_multipartite_witness(args, v))
+    else:
+        tree = witness_tree(_bipartite_report(args, v))
+    return {"command": "witness", "mode": args.mode, **tree}
+
+
+def _condition_lines(conditions, value_key):
+    for c in conditions:
+        mark = "ok" if c["within_tolerance"] else "FAILED"
+        yield f"  {c['label']} = {fmt(c[value_key])}   {mark}"
+
+
+def show_witness(tree):
+    if not tree["applicable"]:
+        yield "verdict: not applicable"
+        yield f"reason: {tree['reason']}"
+        return
+    yield "verdict: applicable"
+    if tree["mode"] == "multipartite":
+        for s in tree["steps"]:
+            yield (
+                f"peeled subsystem {s['subsystem']}: weights "
+                + " ".join(fmt(q) for q in s["weights"])
+                + f"; marked branch {s['marked_branch']} -> "
+                f"{s['observable']}={s['marked_eigenvalue']}"
             )
-        a, b = w.final_subsystems
-        print(f"final pair: subsystems {a + 1} and {b + 1}")
-        print(f"q^2 product: {fmt(w.q_product)}")
-        for c in w.conditions:
-            mark = "ok" if c.within_tolerance else "FAILED"
-            print(f"  {c.condition.label} = {fmt(c.value)}   {mark}")
-        print(f"combined probability: {fmt(w.combined_probability)}")
-        return EXIT_OK
-    report = _bipartite_report(args, v)
-    if args.format == "machine":
-        print(machine_dumps({"command": "witness", "mode": "bipartite", **witness_tree(report)}))
-        return EXIT_OK
-    if not report.applicable:
-        print("verdict: not applicable")
-        print(f"reason: {report.reason}")
-        return EXIT_OK
-    print("verdict: applicable")
-    print(f"split: {split_display(report.split)}")
-    i, j = report.pair
-    print(f"pair: ({i},{j})   p1={fmt(report.p1)}   p2={fmt(report.p2)}")
-    print(f"zero conditions (tolerance {fmt(report.zero_tol)}):")
-    for c in report.zero_values:
-        mark = "ok" if c.within_tolerance else "FAILED"
-        print(f"  {c.condition.label} = {fmt(c.value)}   {mark}")
-    print(f"flagged outcome {FLAGGED_CONDITION.label}:")
-    print(f"  measured    = {fmt(report.hardy_measured)}")
-    print(f"  closed form = {fmt(report.hardy_closed_form)}")
-    print(
-        "decomposition residuals: "
-        + " ".join(fmt(r) for r in report.residuals)
+        yield "final pair: subsystems {} and {}".format(*tree["final_subsystems"])
+        yield f"q^2 product: {fmt(tree['q_product'])}"
+        yield from _condition_lines(tree["conditions"], "measured")
+        yield f"combined probability: {fmt(tree['combined_probability'])}"
+        return
+    yield f"split: {tree['split']}"
+    i, j = tree["pair"]
+    yield f"pair: ({i},{j})   p1={fmt(tree['p1'])}   p2={fmt(tree['p2'])}"
+    yield f"zero conditions (tolerance {fmt(tree['zero_tol'])}):"
+    yield from _condition_lines(tree["zero_conditions"], "value")
+    yield f"flagged outcome {FLAGGED_CONDITION.label}:"
+    yield f"  measured    = {fmt(tree['hardy_measured'])}"
+    yield f"  closed form = {fmt(tree['hardy_closed_form'])}"
+    yield "decomposition residuals: " + " ".join(
+        fmt(r) for r in tree["decomposition_residuals"]
     )
-    return EXIT_OK
 
 
 def _certify_table(args, v) -> tuple[JointProbabilityTable | None, str | None]:
@@ -488,47 +485,40 @@ def _certify_table(args, v) -> tuple[JointProbabilityTable | None, str | None]:
     return (idealized_table(table) if args.idealized else table), None
 
 
-def cmd_certify(args) -> int:
-    v = load_state(args.state)
+def cmd_certify(args, v) -> dict:
     table, reason = _certify_table(args, v)
     if table is None:
-        if args.format == "machine":
-            print(machine_dumps({
-                "command": "certify", "mode": args.mode,
-                "verdict": "not-applicable", "reason": reason,
-            }))
-        else:
-            print("verdict: not applicable (no table to certify)")
-            print(f"reason: {reason}")
-        return EXIT_OK
-    cert = certify(table)
-    tree = {
+        return {"command": "certify", "mode": args.mode,
+                "verdict": "not-applicable", "reason": reason}
+    return {
         "command": "certify",
         "mode": args.mode,
         "idealized": bool(args.idealized),
-        **certificate_tree(cert),
+        **certificate_tree(certify(table)),
     }
-    if args.format == "machine":
-        print(machine_dumps(tree))
-    elif cert.feasible:
-        print("verdict: feasible (a local hidden-variable model reproduces the table)")
+
+
+def show_certify(tree):
+    if tree["verdict"] == "not-applicable":
+        yield "verdict: not applicable (no table to certify)"
+        yield f"reason: {tree['reason']}"
+    elif tree["verdict"] == "feasible":
+        yield "verdict: feasible (a local hidden-variable model reproduces the table)"
         for term in tree["mixture"]:
-            print(f"  weight {fmt(term['weight'])}: {term['strategy']}")
+            yield f"  weight {fmt(term['weight'])}: {term['strategy']}"
     else:
-        print("verdict: infeasible (no local hidden-variable model exists)")
-        print(f"violation margin: {fmt(cert.margin)}")
-        print(f"max strategy dot: {fmt(cert.max_strategy_dot)}")
-        print("violated inequality (coefficients on table entries):")
+        yield "verdict: infeasible (no local hidden-variable model exists)"
+        yield f"violation margin: {fmt(tree['margin'])}"
+        yield f"max strategy dot: {fmt(tree['max_strategy_dot'])}"
+        yield "violated inequality (coefficients on table entries):"
         for term in tree["dual"]:
             label = entry_label(term["settings"], term["outcomes"])
-            print(f"  {fmt(term['coefficient'])} * {label}")
-        print(f"  + {fmt(tree['dual_normalization'])} <= 0 for every local model")
-        print(f"  quantum table value: {fmt(cert.margin)} > 0")
-    return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
+            yield f"  {fmt(term['coefficient'])} * {label}"
+        yield f"  + {fmt(tree['dual_normalization'])} <= 0 for every local model"
+        yield f"  quantum table value: {fmt(tree['margin'])} > 0"
 
 
-def cmd_simulate(args) -> int:
-    v = load_state(args.state)
+def cmd_simulate(args, v) -> dict:
     report = _bipartite_report(args, v)
     if not report.applicable:
         raise ValueError(f"cannot simulate: construction not applicable ({report.reason})")
@@ -536,90 +526,84 @@ def cmd_simulate(args) -> int:
     freq = analyze(records, report.table)
     if args.export:
         export_csv(records, args.export)
-    if args.format == "machine":
-        print(machine_dumps({
-            "command": "simulate",
-            "shots": args.shots,
-            "seed": args.seed,
-            "schedule": [list(p) for p in DEFAULT_SCHEDULE],
-            "sigma": freq.sigma,
-            "export": args.export,
-            "conditions": [
-                {
-                    "label": c.condition.label,
-                    "expect_zero": c.condition.expect_zero,
-                    "count": c.count,
-                    "pair_shots": c.pair_shots,
-                    "frequency": c.frequency,
-                    "exact": c.exact,
-                    "passed": c.passed,
-                }
-                for c in freq.conditions
-            ],
-            "cells": [
-                {
-                    "settings": list(c.settings),
-                    "outcomes": list(c.outcomes),
-                    "count": c.count,
-                    "pair_shots": c.pair_shots,
-                    "frequency": c.frequency,
-                    "exact": c.exact,
-                    "std_error": c.std_error,
-                }
-                for c in freq.cells
-            ],
-        }))
-        return EXIT_OK
-    print(f"shots: {args.shots}   seed: {args.seed}")
-    for c in freq.conditions:
-        if c.passed is None:
-            verdict = "n/a (no shots on this setting pair)"
-        elif c.passed:
-            verdict = "ok"
-        else:
-            verdict = "FAILED"
-        freq_str = fmt(c.frequency) if c.frequency is not None else "-"
-        print(
-            f"  {c.condition.label}: count {c.count}/{c.pair_shots}, "
-            f"frequency {freq_str}, exact {fmt(c.exact)}   {verdict}"
+    return {
+        "command": "simulate",
+        "shots": args.shots,
+        "seed": args.seed,
+        "schedule": [list(p) for p in DEFAULT_SCHEDULE],
+        "sigma": freq.sigma,
+        "export": args.export,
+        "conditions": [
+            {
+                "label": c.condition.label,
+                "expect_zero": c.condition.expect_zero,
+                "count": c.count,
+                "pair_shots": c.pair_shots,
+                "frequency": c.frequency,
+                "exact": c.exact,
+                "passed": c.passed,
+            }
+            for c in freq.conditions
+        ],
+        "cells": [
+            {
+                "settings": list(c.settings),
+                "outcomes": list(c.outcomes),
+                "count": c.count,
+                "pair_shots": c.pair_shots,
+                "frequency": c.frequency,
+                "exact": c.exact,
+                "std_error": c.std_error,
+            }
+            for c in freq.cells
+        ],
+    }
+
+
+def show_simulate(tree):
+    yield f"shots: {tree['shots']}   seed: {tree['seed']}"
+    verdict = {None: "n/a (no shots on this setting pair)", True: "ok", False: "FAILED"}
+    for c in tree["conditions"]:
+        freq_str = fmt(c["frequency"]) if c["frequency"] is not None else "-"
+        yield (
+            f"  {c['label']}: count {c['count']}/{c['pair_shots']}, "
+            f"frequency {freq_str}, exact {fmt(c['exact'])}   {verdict[c['passed']]}"
         )
-    if args.export:
-        print(f"records written to {args.export}")
-    return EXIT_OK
+    if tree["export"]:
+        yield f"records written to {tree['export']}"
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, _state) -> dict:
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
     best_t, best_value = max_hardy_probability_qubit(args.grid)
     n_rows = min(args.grid, 21)
-    sample_rows = []
-    for k in range(1, n_rows + 1):
-        t = k / (n_rows + 1)
-        sample_rows.append((t, hardy_probability(t**0.5, (1 - t) ** 0.5)))
-    if args.format == "machine":
-        print(machine_dumps({
-            "command": "scan",
-            "grid": args.grid,
-            "max_probability": best_value,
-            "argmax_p1_squared": best_t,
-            "table": [{"p1_squared": t, "probability": p} for t, p in sample_rows],
-        }))
-        return EXIT_OK
-    print(f"grid: {args.grid}")
-    print("p1^2         probability")
-    for t, p in sample_rows:
-        print(f"{fmt(t):<12} {fmt(p)}")
-    print(f"maximum: {fmt(best_value)} at p1^2 = {fmt(best_t)}")
-    return EXIT_OK
+    rows = [(t, hardy_probability(t**0.5, (1 - t) ** 0.5))
+            for t in (k / (n_rows + 1) for k in range(1, n_rows + 1))]
+    return {
+        "command": "scan",
+        "grid": args.grid,
+        "max_probability": best_value,
+        "argmax_p1_squared": best_t,
+        "table": [{"p1_squared": t, "probability": p} for t, p in rows],
+    }
 
 
-HANDLERS = {
-    "schmidt": cmd_schmidt,
-    "witness": cmd_witness,
-    "certify": cmd_certify,
-    "simulate": cmd_simulate,
-    "scan": cmd_scan,
+def show_scan(tree):
+    yield f"grid: {tree['grid']}"
+    yield "p1^2         probability"
+    for row in tree["table"]:
+        yield f"{fmt(row['p1_squared']):<12} {fmt(row['probability'])}"
+    yield f"maximum: {fmt(tree['max_probability'])} at p1^2 = {fmt(tree['argmax_p1_squared'])}"
+
+
+# Each command: (args, state) -> machine tree, and its human renderer.
+COMMANDS = {
+    "schmidt": (cmd_schmidt, show_schmidt),
+    "witness": (cmd_witness, show_witness),
+    "certify": (cmd_certify, show_certify),
+    "simulate": (cmd_simulate, show_simulate),
+    "scan": (cmd_scan, show_scan),
 }
 
 
@@ -629,10 +613,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    run, show = COMMANDS[args.command]
     try:
         _require_positive(args)
         _reject_unread_flags(args)
-        return HANDLERS[args.command](args)
+        tree = run(args, None if args.command == "scan" else load_state(args.state))
+        if args.format == "machine":
+            text = machine_dumps(tree)
+        else:
+            text = "\n".join(show(tree, args.eps_deg) if args.command == "schmidt" else show(tree))
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -643,6 +632,13 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the flush at exit
+        # cannot fail again (the signal module docs' note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_INFEASIBLE if tree.get("verdict") == "infeasible" else EXIT_OK
 
 
 if __name__ == "__main__":

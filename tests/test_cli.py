@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +414,47 @@ class TestNotApplicableReasons:
         assert capsys.readouterr().out.splitlines()[-1] == f"no usable pair: {reason}"
 
 
+class TestClosedStdout:
+    """A reader that has gone away costs the output, not the exit code."""
+
+    @staticmethod
+    def run(argv, **kwargs):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, "-m", "hardywitness.cli", *argv],
+                              env=env, timeout=120, **kwargs)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["scan", "--grid", "100", "--format", "machine"], 0),
+            (["certify", "--state", "{state}", "--split", "1|2"], 3),
+        ],
+        ids=["scan", "certify"],
+    )
+    def test_closed_pipe_keeps_exit_code(self, state_file, argv, code):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = [arg.format(state=state_file) for arg in argv]
+            proc = self.run(argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_closed_pipe_export_is_an_error(self, state_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(["simulate", "--state", state_file, "--split", "1|2", "--shots",
+                             "10", "--seed", "1", "--export", f"/dev/fd/{write_end}"],
+                            pass_fds=(write_end,), capture_output=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
 class TestScanCommand:
     def test_machine(self, capsys):
         assert main(["scan", "--grid", "9999", "--format", "machine"]) == 0
@@ -474,8 +519,15 @@ class TestExitCodes:
         assert out.out == ""
         assert "norm inf" in out.err
 
-    def test_bad_split_indices(self, state_file, capsys):
-        assert main(["schmidt", "--state", state_file, "--split", "1|3"]) == 1
+    def test_bad_split_indices(self, state_file, tri_file, capsys):
+        """Named as typed (1-based), not as the library's 0-based tuples."""
+        for path, spec, n in ((state_file, "1|3", 2), (tri_file, "1|2", 3)):
+            for command, extra in (("schmidt", []), ("witness", []), ("certify", []),
+                                   ("simulate", ["--shots", "10", "--seed", "1"])):
+                assert main([command, "--state", path, "--split", spec, *extra]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: split {spec!r} does not partition {n} subsystems\n"
 
     @pytest.mark.parametrize(
         "order, message",
