@@ -7,6 +7,13 @@ exit code.  Machine output is the tree as JSON with a fixed field order and
 floats printed to 12 significant digits, so identical invocations produce
 identical bytes.
 
+A command imports the ``lhv``, ``multipartite`` or ``sampling`` layer where
+it runs and calls it through that module (``lhv.certify(table)``), so
+``schmidt``, bipartite ``witness`` and ``scan`` load none of them and
+``certify`` never loads ``sampling``.  The names ``certify``,
+``multipartite_witness``, ``multipartite_table``, ``sample_from_table`` and
+``analyze`` stay importable from here, but the commands do not call them.
+
 Exit codes: 0 success (including a Feasible certificate), 3 Infeasible
 certificate, 1 usage or input errors, 2 numerical failures.  A closed
 stdout pipe drops the output silently and keeps the command's exit code.
@@ -15,10 +22,12 @@ stdout pipe drops the output silently and keeps the command's exit code.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,17 +47,40 @@ from .hardy import (
     make_witness_report,
     max_hardy_probability_qubit,
 )
-from .lhv import LhvCertificate, certify, idealized_table
-from .multipartite import MultipartiteWitness, multipartite_table, multipartite_witness
-from .sampling import DEFAULT_SCHEDULE, analyze, export_csv, sample_from_table
 from .schmidt import schmidt_decompose
 from .statefile import load_state
 from .states import Bipartition
+
+if TYPE_CHECKING:
+    from .lhv import LhvCertificate
+    from .multipartite import MultipartiteWitness
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_INFEASIBLE = 3
+
+
+def _owner_call(module: str, name: str):
+    """``module.name`` as a function of this module that imports ``module`` when called.
+
+    The commands call the owner module directly, so a tracer that patches
+    both this name and the owner's records each call once.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"``{module}.{name}``, imported on first call."
+    return call
+
+
+certify = _owner_call("lhv", "certify")
+multipartite_witness = _owner_call("multipartite", "multipartite_witness")
+multipartite_table = _owner_call("multipartite", "multipartite_table")
+sample_from_table = _owner_call("sampling", "sample_from_table")
+analyze = _owner_call("sampling", "analyze")
 
 
 def fmt(x: float) -> str:
@@ -417,8 +449,10 @@ def _bipartite_report(args, v) -> WitnessReport:
 
 
 def _multipartite_witness(args, v) -> MultipartiteWitness:
-    order = parse_peel_order(args.peel_order, len(v.dims)) if args.peel_order else None
-    return multipartite_witness(
+    from . import multipartite
+
+    order = None if args.peel_order is None else parse_peel_order(args.peel_order, len(v.dims))
+    return multipartite.multipartite_witness(
         v, order, exhaustive=args.exhaustive_orders, eps_deg=args.eps_deg, zero_tol=_zero_tol(args)
     )
 
@@ -470,10 +504,12 @@ def show_witness(tree):
 
 
 def _certify_table(args, v) -> tuple[JointProbabilityTable | None, str | None]:
-    """The table ``certify`` decides, or None and the not-applicable reason."""
+    """The exact table ``certify`` decides, or None and the not-applicable reason."""
     if args.mode == "multipartite":
+        from . import multipartite
+
         w = _multipartite_witness(args, v)
-        return (multipartite_table(v, w), None) if w.applicable else (None, w.reason)
+        return (multipartite.multipartite_table(v, w), None) if w.applicable else (None, w.reason)
     d = schmidt_decompose(v, _split_for(args, v))
     pair = parse_pair(args.pair)
     if pair is None:
@@ -481,20 +517,23 @@ def _certify_table(args, v) -> tuple[JointProbabilityTable | None, str | None]:
         if pair is None:
             return None, reason
     construction = build_construction(d, pair, args.eps_deg, allow_degenerate=args.allow_degenerate)
-    table = joint_table(v, construction)
-    return (idealized_table(table) if args.idealized else table), None
+    return joint_table(v, construction), None
 
 
 def cmd_certify(args, v) -> dict:
+    from . import lhv
+
     table, reason = _certify_table(args, v)
     if table is None:
         return {"command": "certify", "mode": args.mode,
                 "verdict": "not-applicable", "reason": reason}
+    if args.idealized:
+        table = lhv.idealized_table(table)
     return {
         "command": "certify",
         "mode": args.mode,
         "idealized": bool(args.idealized),
-        **certificate_tree(certify(table)),
+        **certificate_tree(lhv.certify(table)),
     }
 
 
@@ -519,18 +558,22 @@ def show_certify(tree):
 
 
 def cmd_simulate(args, v) -> dict:
+    from . import sampling
+
     report = _bipartite_report(args, v)
     if not report.applicable:
         raise ValueError(f"cannot simulate: construction not applicable ({report.reason})")
-    records = sample_from_table(report.table, args.shots, args.seed, DEFAULT_SCHEDULE)
-    freq = analyze(records, report.table)
+    records = sampling.sample_from_table(
+        report.table, args.shots, args.seed, sampling.DEFAULT_SCHEDULE
+    )
+    freq = sampling.analyze(records, report.table)
     if args.export:
-        export_csv(records, args.export)
+        sampling.export_csv(records, args.export)
     return {
         "command": "simulate",
         "shots": args.shots,
         "seed": args.seed,
-        "schedule": [list(p) for p in DEFAULT_SCHEDULE],
+        "schedule": [list(p) for p in sampling.DEFAULT_SCHEDULE],
         "sigma": freq.sigma,
         "export": args.export,
         "conditions": [

@@ -53,10 +53,14 @@ def parse_state_text(text: str, source: str = "<string>") -> StateVector:
 def load_state(path) -> StateVector:
     """Read and validate a state file; raises :class:`ParseError` on any defect."""
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        ) from exc
     return parse_state_text(text, source=str(path))
 
 
@@ -69,5 +73,5 @@ def state_to_json(v: StateVector) -> str:
 
 
 def dump_state(v: StateVector, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(state_to_json(v))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hardywitness as hw
-from hardywitness import cli
+from hardywitness import cli, sampling
 from hardywitness.cli import main, machine_dumps, parse_split
 from hardywitness.hardy import GRID_CAP, JointProbabilityTable, entry_label
 from hardywitness.multipartite import ORDER_CAP
@@ -362,7 +362,7 @@ class TestSimulateCommand:
         def out_of_memory(*args):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "sample_from_table", out_of_memory)
+        monkeypatch.setattr(sampling, "sample_from_table", out_of_memory)
         code = main(["simulate", "--state", state_file, "--split", "1|2",
                      "--shots", str(SHOT_CAP), "--seed", "1"])
         assert code == 1
@@ -519,6 +519,14 @@ class TestExitCodes:
         assert out.out == ""
         assert "norm inf" in out.err
 
+    def test_not_utf8_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dims": [2, 2], "amps": \xff}')
+        assert main(["schmidt", "--state", str(path), "--split", "1|2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}: not UTF-8 text")
+
     def test_bad_split_indices(self, state_file, tri_file, capsys):
         """Named as typed (1-based), not as the library's 0-based tuples."""
         for path, spec, n in ((state_file, "1|3", 2), (tri_file, "1|2", 3)):
@@ -546,6 +554,16 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {message}\n"
+
+    def test_empty_peel_order_is_usage_error(self, tri_file, capsys):
+        for command in ("witness", "certify"):
+            for extra in ([], ["--exhaustive-orders"]):
+                code = main([command, "--state", tri_file, "--mode", "multipartite",
+                             "--peel-order", "", *extra])
+                assert code == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: peel order '': bad subsystem index ''\n"
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["--eps-deg", "--zero-tol"])

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -70,6 +72,31 @@ def test_traced_certify_enumerates_strategies_once():
     assert len(cert.strategies) == 162
     assert spans["lhv.strategies_for_table"] == [162]
     assert spans["lhv.certify"] == [(len(cert.entry_keys) + 1) * 162]
+
+
+@pytest.mark.parametrize(
+    "argv, code, layer_spans",
+    [
+        (["certify", "--state", "p0.json", "--split", "1|2"], 3, ["lhv.certify"]),
+        (["simulate", "--state", "p0.json", "--split", "1|2", "--shots", "100", "--seed", "1"],
+         0, ["sampling.sample", "sampling.analyze"]),
+        (["witness", "--state", "t0.json", "--mode", "multipartite"], 0,
+         ["multipartite.witness"]),
+    ],
+    ids=["certify", "simulate", "multipartite-witness"],
+)
+def test_traced_cli_call_records_each_layer_call_once(argv, code, layer_spans, tmp_path,
+                                                      monkeypatch):
+    """The commands call each layer through its owner: one span per call, not nested twice."""
+    workloads.write_cli_state_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    tracer = tracing.Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        tracer.active = True
+        assert cli.main([*argv, "--format", "machine"]) == code
+        tracer.active = False
+    names = [span[0] for span in tracer.spans]
+    assert {name: names.count(name) for name in layer_spans} == dict.fromkeys(layer_spans, 1)
 
 
 def test_reference_accepts_the_certificates_it_re_checks():

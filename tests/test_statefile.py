@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,9 @@ class TestParseErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             hw.load_state(tmp_path / "does-not-exist.json")
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dims": [2], "amps": [[1, 0], [0, 0]]} \u00e9'.encode("latin-1"))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            hw.load_state(path)
