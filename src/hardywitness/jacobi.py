@@ -23,45 +23,6 @@ OFF_TOL = 1e-13
 MAX_SWEEPS = 100
 
 
-def _rotate(buf: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] (and a[q, p]) in place and accumulate the rotation into v.
-
-    ``buf`` stacks the matrix ``a`` over its eigenvector accumulator ``v``, so
-    one column update rotates both.  Each update makes the same float
-    operations, with the same operand order, as forming the rotated columns
-    and rows out of place.
-    """
-    g = buf[p, q]
-    mag = abs(g)
-    phase = cmath.exp(1j * cmath.phase(g))
-    theta = 0.5 * math.atan2(2.0 * mag, buf[p, p].real - buf[q, q].real)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    # Rotation R restricted to (p, q): [[c, -s*phase], [s/phase, c]].
-    # Columns p and q of a and v at once (a <- a R, v <- v R); t holds the
-    # old column p's share of the new column q.
-    xp = buf[:, p]
-    xq = buf[:, q]
-    t = xp * (-s * phase)
-    xp *= c
-    xp += xq * (s / phase)
-    xq *= c
-    np.add(t, xq, out=xq)
-    # Rows p and q of a (a <- R^dagger a).
-    xp = buf[p]
-    xq = buf[q]
-    t = xp * (-s / phase)
-    xp *= c
-    xp += xq * (s * phase)
-    xq *= c
-    np.add(t, xq, out=xq)
-    # Exact by construction; drop the roundoff residue.
-    buf[p, q] = 0.0
-    buf[q, p] = 0.0
-    buf[p, p] = buf[p, p].real
-    buf[q, q] = buf[q, q].real
-
-
 def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
 
@@ -75,18 +36,54 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
-    # The matrix over its eigenvector accumulator; a and v are views.
+    # The matrix a over its eigenvector accumulator v, so one column update
+    # rotates both.  Every view is built once: the stacked columns, the rows
+    # of a, and the real and imaginary parts of a's diagonal.
     buf = np.concatenate([a, np.eye(n, dtype=np.complex128)])
     a = buf[:n]
     v = buf[n:]
+    cols = list(buf.T)
+    rows = list(a)
+    flat = buf.view(np.float64).reshape(-1)
+    diag_re = flat[0 : 2 * n * n : 2 * (n + 1)]
+    diag_im = flat[1 : 2 * n * n : 2 * (n + 1)]
     for _ in range(MAX_SWEEPS):
         off = float(np.max(np.abs(a - np.diag(np.diag(a)))))
         if off < OFF_TOL:
-            return np.real(np.diag(a)).copy(), v.copy()
+            return diag_re.copy(), v.copy()
         for p in range(n - 1):
+            row_p = rows[p]
             for q in range(p + 1, n):
-                if abs(a[p, q]) >= OFF_TOL:
-                    _rotate(buf, p, q)
+                g = row_p[q]
+                mag = abs(g)
+                if mag >= OFF_TOL:
+                    phase = cmath.exp(1j * cmath.phase(g))
+                    theta = 0.5 * math.atan2(2.0 * mag, diag_re[p] - diag_re[q])
+                    c = math.cos(theta)
+                    s = math.sin(theta)
+                    # R restricted to (p, q) is [[c, -s*phase], [s/phase, c]].
+                    # Each update makes the same float operations, with the
+                    # same operand order, as forming the rotated columns
+                    # (a <- a R, v <- v R) and then rows (a <- R^dagger a)
+                    # out of place; t holds old p's share of the new q.
+                    col_p = cols[p]
+                    col_q = cols[q]
+                    t = col_p * (-s * phase)
+                    col_p *= c
+                    col_p += col_q * (s / phase)
+                    col_q *= c
+                    col_q += t
+                    row_q = rows[q]
+                    t = row_p * (-s / phase)
+                    row_p *= c
+                    row_p += row_q * (s * phase)
+                    row_q *= c
+                    row_q += t
+                    # Exact by construction; drop the roundoff residue.
+                    row_p[q] = 0.0
+                    row_q[p] = 0.0
+                    diag_im[p] = 0.0
+                    diag_im[q] = 0.0
     raise NumericalFailure(
         f"Jacobi diagonalization did not converge within {MAX_SWEEPS} sweeps"
     )

@@ -100,6 +100,23 @@ def schmidt_weights(v: StateVector, split: Bipartition) -> np.ndarray:
     return _spectrum(v, split)[1]
 
 
+def _polish(vectors: np.ndarray) -> None:
+    """Orthonormalize the columns of ``vectors`` in place by modified Gram-Schmidt.
+
+    Left-looking, one ``np.vdot`` per pair, over column views built once; a
+    batched projection onto all earlier columns would change the summation
+    order and so the last bits.
+    """
+    cols = list(vectors.T)
+    for i, col in enumerate(cols):
+        for done in cols[:i]:
+            col -= np.vdot(done, col) * done
+        nrm = np.linalg.norm(col)
+        if nrm <= WEIGHT_FLOOR:
+            raise NumericalFailure("right Schmidt vector collapsed during polish")
+        col /= nrm
+
+
 def schmidt_decompose(v: StateVector, split: Bipartition) -> SchmidtDecomposition:
     """Decompose a normalized state across ``split``.
 
@@ -113,21 +130,15 @@ def schmidt_decompose(v: StateVector, split: Bipartition) -> SchmidtDecompositio
     betas = (m.T @ alphas.conj()) / w
     # Jacobi leaves the left vectors orthonormal to machine precision; the
     # right vectors inherit a residual of the off-diagonal threshold divided
-    # by the weights, so polish them with modified Gram-Schmidt.
-    for i in range(betas.shape[1]):
-        for j in range(i):
-            betas[:, i] -= np.vdot(betas[:, j], betas[:, i]) * betas[:, j]
-        nrm = np.linalg.norm(betas[:, i])
-        if nrm <= WEIGHT_FLOOR:
-            raise NumericalFailure("right Schmidt vector collapsed during polish")
-        betas[:, i] /= nrm
-    for i in range(alphas.shape[1]):
-        k = int(np.argmax(np.abs(alphas[:, i])))
-        pivot = alphas[k, i]
+    # by the weights, so polish them.
+    _polish(betas)
+    for left, right in zip(alphas.T, betas.T):
+        k = int(np.argmax(np.abs(left)))
+        pivot = left[k]
         if abs(pivot) > 0.0:
             phase = pivot / abs(pivot)
-            alphas[:, i] /= phase
-            betas[:, i] *= phase
+            left /= phase
+            right *= phase
     alphas.setflags(write=False)
     betas.setflags(write=False)
     w.setflags(write=False)

@@ -27,6 +27,11 @@ def parse_state_text(text: str, source: str = "<string>") -> StateVector:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{source}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        # an integer literal longer than sys.get_int_max_str_digits()
+        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: top level must be an object with dims and amps")
     for field in ("dims", "amps"):
@@ -45,7 +50,11 @@ def parse_state_text(text: str, source: str = "<string>") -> StateVector:
     ):
         raise ParseError(f"{source}: amps must be a list of [re, im] pairs")
     try:
-        return make_state(dims, [complex(re, im) for re, im in amps])
+        coefficients = [complex(re, im) for re, im in amps]
+    except OverflowError as exc:
+        raise ParseError(f"{source}: amplitude too large for a float: {exc}") from exc
+    try:
+        return make_state(dims, coefficients)
     except (DimensionMismatch, ZeroVector) as exc:
         raise ParseError(f"{source}: {exc}") from exc
 

@@ -519,6 +519,20 @@ class TestExitCodes:
         assert out.out == ""
         assert "norm inf" in out.err
 
+    @pytest.mark.parametrize(
+        "amps",
+        ["[[%s, 0], [0, 0], [0, 0], [1, 0]]" % ("9" * 400), "[" * 10**5],
+        ids=["integer-too-large", "nested-too-deeply"],
+    )
+    def test_unreadable_amplitudes_fail_cleanly(self, tmp_path, capsys, amps):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dims": [2, 2], "amps": %s}' % amps)
+        assert main(["schmidt", "--state", str(path), "--split", "1|2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}: ")
+        assert out.err.count("\n") == 1
+
     def test_not_utf8_file_is_named(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"dims": [2, 2], "amps": \xff}')

@@ -127,6 +127,29 @@ def _oracle_cases():
         pytest.param(u @ np.diag([1.0, 1.0, 0.5, 0.0]) @ u.conj().T, id="degenerate"),
         pytest.param(np.eye(3) / 3, id="equal"),
     ]
+    # exact zeros, where a rotation can leave -0.0 and +0.0 apart
+    for d in (6, 16):
+        block = np.zeros((d, d), dtype=np.complex128)
+        block[: d // 2, : d // 2] = random_gram(rng, d // 2, d // 2)
+        block[d // 2 :, d // 2 :] = random_gram(rng, d // 2, 2)
+        cases.append(pytest.param(block / 2, id=f"block-diagonal-{d}"))
+    for n in (3, 5):
+        # GHZ_n peeled on its last qubit: the 2^(n-1) side's Gram is
+        # diag(1/2, 0, ..., 0, 1/2)
+        ghz = np.zeros(2**n, dtype=np.complex128)
+        ghz[[0, -1]] = 2**-0.5
+        m = ghz.reshape(2 ** (n - 1), 2)
+        cases.append(pytest.param(m @ m.conj().T, id=f"ghz{n}-peel"))
+    for d in (5, 16):
+        # a coefficient matrix with zero rows gives a Gram matrix with zero
+        # rows and columns
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m[[0, d // 2, d - 1]] = 0.0
+        m /= np.linalg.norm(m)
+        cases.append(pytest.param(m @ m.conj().T, id=f"zero-rows-{d}"))
+    # a -0.0 eigenvalue on a row no rotation touches comes back as -0.0
+    signed = np.array([[0.5, 0.0, 0.25j], [0.0, -0.0, 0.0], [-0.25j, 0.0, 0.5]])
+    cases.append(pytest.param(signed, id="signed-zero"))
     return cases
 
 
@@ -134,7 +157,11 @@ def _oracle_cases():
 def test_bit_identical_to_out_of_place_rotations(matrix):
     # The CLI goldens pin roundoff digits only up to d = 9, while Schmidt
     # splits reach d = 64, so compare the bits with the oracle directly.
+    # Bytes, not values: array_equal takes -0.0 for +0.0, and machine JSON
+    # prints the two differently.
     vals, vecs = hermitian_eigensystem(matrix)
     ref_vals, ref_vecs = reference_eigensystem(matrix)
-    assert np.array_equal(vals, ref_vals)
-    assert np.array_equal(vecs.view(np.float64), ref_vecs.view(np.float64))
+    assert (vals.dtype, vals.shape) == (ref_vals.dtype, ref_vals.shape)
+    assert (vecs.dtype, vecs.shape) == (ref_vecs.dtype, ref_vecs.shape)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hardywitness as hw
+from hardywitness.schmidt import _polish, _spectrum
 
 from conftest import apply_side1_unitary, random_state, random_unitary
 
@@ -119,6 +120,37 @@ class TestDecompose:
         assert_allclose(np.abs(d.left_vectors[:, 0]), [0, 0, 1], atol=1e-12)
         assert_allclose(np.abs(d.left_vectors[:, 1]), [1, 0, 0], atol=1e-12)
         assert_allclose(np.abs(d.left_vectors[:, 2]), [0, 1, 0], atol=1e-12)
+
+
+def _reference_polish(b):
+    """Modified Gram-Schmidt with every column indexed afresh (the oracle)."""
+    for i in range(b.shape[1]):
+        for j in range(i):
+            b[:, i] -= np.vdot(b[:, j], b[:, i]) * b[:, j]
+        b[:, i] /= np.linalg.norm(b[:, i])
+
+
+class TestPolishBits:
+    """The polish over cached column views matches the indexed loop by bytes."""
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_right_vectors_of_a_split(self, d):
+        v = random_state(np.random.default_rng(60 + d), (d, d))
+        m, w, eigvecs, order = _spectrum(v, SPLIT)
+        betas = (m.T @ eigvecs[:, order].conj()) / w
+        ref = betas.copy()
+        _polish(betas)
+        _reference_polish(ref)
+        assert betas.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_far_from_orthonormal(self, d):
+        rng = np.random.default_rng(70 + d)
+        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ref = b.copy()
+        _polish(b)
+        _reference_polish(ref)
+        assert b.tobytes() == ref.tobytes()
 
 
 class TestDistinctWeightPairs:

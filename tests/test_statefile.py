@@ -66,6 +66,23 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="norm inf"):
             hw.parse_state_text(text)
 
+    def test_integer_too_large_for_a_float(self):
+        text = '{"dims": [2, 2], "amps": [[%s, 0], [0, 0], [0, 0], [1, 0]]}' % ("9" * 400)
+        with pytest.raises(ParseError, match=r"^<string>: amplitude too large for a float"):
+            hw.parse_state_text(text)
+
+    def test_integer_longer_than_the_digit_limit(self):
+        text = '{"dims": [2], "amps": [[%s, 0], [0, 0]]}' % ("9" * 5000)
+        with pytest.raises(ParseError, match=r"^<string>: invalid JSON: "):
+            hw.parse_state_text(text)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["unclosed", "closed"])
+    def test_deep_nesting(self, closed):
+        depth = 10**5
+        text = '{"dims": [2], "amps": ' + "[" * depth + ("]" * depth + "}" if closed else "")
+        with pytest.raises(ParseError, match=r"^<string>: JSON nested too deeply$"):
+            hw.parse_state_text(text)
+
     def test_dimension_below_two(self):
         with pytest.raises(ParseError, match=">= 2"):
             hw.parse_state_text('{"dims": [1, 4], "amps": [[1,0],[0,0],[0,0],[0,0]]}')
