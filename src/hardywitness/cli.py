@@ -46,6 +46,7 @@ from .hardy import (
     joint_table,
     make_witness_report,
     max_hardy_probability_qubit,
+    no_pair_reason,
 )
 from .schmidt import schmidt_decompose
 from .statefile import load_state
@@ -424,7 +425,7 @@ def cmd_schmidt(args, v) -> dict:
     }
 
 
-def show_schmidt(tree, eps_deg):
+def show_schmidt(tree):
     yield f"state: {tree['state']}"
     yield f"split: {tree['split']}"
     yield f"rank: {tree['rank']}"
@@ -434,7 +435,7 @@ def show_schmidt(tree, eps_deg):
             f"({i},{j})" for i, j in tree["distinct_pairs"]
         )
     else:
-        yield f"no usable pair: {choose_pair(tree['weights'], eps_deg)[1]}"
+        yield f"no usable pair: {no_pair_reason(tree['rank'])}"
 
 
 def _zero_tol(args) -> float:
@@ -664,7 +665,7 @@ def main(argv=None) -> int:
         if args.format == "machine":
             text = machine_dumps(tree)
         else:
-            text = "\n".join(show(tree, args.eps_deg) if args.command == "schmidt" else show(tree))
+            text = "\n".join(show(tree))
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -126,17 +126,20 @@ def distinct_weight_pairs(
     return pairs
 
 
+def no_pair_reason(rank: int) -> str:
+    """Why a decomposition of this rank with no distinct weight pair is not applicable."""
+    if rank == 1:
+        return "rank 1 (product across this split)"
+    return "all Schmidt weights equal within eps_deg"
+
+
 def choose_pair(weights: np.ndarray, eps_deg: float = DEFAULT_EPS_DEG) -> tuple:
     """``(pair, None)`` for the best distinct pair of Schmidt ``weights``, else ``(None, reason)``.
 
     The reason is the not-applicable verdict every command reports.
     """
     pairs = distinct_weight_pairs(weights, eps_deg)
-    if pairs:
-        return pairs[0], None
-    if len(weights) == 1:
-        return None, "rank 1 (product across this split)"
-    return None, "all Schmidt weights equal within eps_deg"
+    return (pairs[0], None) if pairs else (None, no_pair_reason(len(weights)))
 
 
 def build_unitaries(p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -542,10 +545,9 @@ def make_witness_report(
             return WitnessReport(False, reason, split, weights, eps_deg, zero_tol)
     construction = build_construction(d, pair, eps_deg)
     table = joint_table(v, construction)
+    values = [table.prob(c.settings, c.outcomes) for c in ZERO_CONDITIONS]
     zero_values = tuple(
-        ConditionValue(c, table.prob(c.settings, c.outcomes),
-                       table.prob(c.settings, c.outcomes) < zero_tol)
-        for c in ZERO_CONDITIONS
+        ConditionValue(c, x, x < zero_tol) for c, x in zip(ZERO_CONDITIONS, values)
     )
     measured = table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes)
     closed = hardy_probability(construction.p1, construction.p2)

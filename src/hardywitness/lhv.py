@@ -91,10 +91,14 @@ class StrategySpace(Sequence):
 def enumerate_strategies(settings_per_party, outcomes_per_party) -> StrategySpace:
     """Every deterministic local strategy of the given parties, as one ``StrategySpace``.
 
-    ``settings_per_party`` counts the settings of each party;
-    ``outcomes_per_party`` gives each party's outcome alphabet.
+    ``settings_per_party`` counts the settings of each party (integers, numpy
+    integers included, or ``ValueError``); ``outcomes_per_party`` gives each
+    party's outcome alphabet.
     """
-    counts = [int(s) for s in settings_per_party]
+    try:
+        counts = [operator.index(s) for s in settings_per_party]
+    except TypeError:
+        raise ValueError("setting counts must be integers") from None
     alphabets = [tuple(o) for o in outcomes_per_party]
     if len(counts) != len(alphabets):
         raise ValueError("settings and outcomes must list the same parties")
@@ -141,16 +145,18 @@ class LhvCertificate:
         return tuple(self.table.ordered_keys())
 
 
-def _constraint_system(table: JointProbabilityTable):
+def _constraint_system(table: JointProbabilityTable, space: StrategySpace):
     """LP matrix ``a`` and right-hand side ``b``: rows ``ordered_keys()`` plus
-    normalization, one column per strategy in ``StrategySpace`` order.
+    normalization, one column per strategy of ``space`` (the table's
+    ``StrategySpace``), in its order.
 
     A strategy hits ``(choice, outcomes)`` when every party answers its own
     setting with its own outcome, so the matrix is the product over parties
     of one-hot (setting, outcome, local answer table) indicators, read from
-    the space's answer arrays without building any strategy.
+    the space's answer arrays without building any strategy.  ``certify``
+    passes the core parties' rows of the one space it enumerates, so each
+    call builds one strategy space.
     """
-    space = enumerate_strategies([len(s) for s in table.party_settings], table.party_outcomes)
     n = table.n_parties
     hits = np.ones((1,) * (3 * n))
     for party, (answers, outs) in enumerate(zip(space.answers, table.party_outcomes)):
@@ -204,7 +210,7 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
         tuple(table.party_outcomes[p] for p in core),
         rows[0],
     )
-    a, b = _constraint_system(core_table)
+    a, b = _constraint_system(core_table, StrategySpace(strategies.answers[p] for p in core))
     cone = a[:-1]
     if single:
         # A slice's total weight is its own mass, which its setting blocks
@@ -320,28 +326,19 @@ def verify_no_deterministic_model(flagged_value: float) -> ContradictionTrace:
     strategies = enumerate_strategies(
         [len(s) for s in side_settings], [TERNARY_OUTCOMES, TERNARY_OUTCOMES]
     )
+    where = {s: (p, i) for p, labels in enumerate(side_settings) for i, s in enumerate(labels)}
 
-    def outcome_of(strategy, label):
-        party = 0 if label in side_settings[0] else 1
-        return strategy.outcome(party, side_settings[party].index(label))
+    def answers(strategy, settings, outcomes) -> bool:
+        """Whether ``strategy`` answers every one of ``settings`` with its outcome."""
+        return all(strategy.outcome(*where[s]) == o for s, o in zip(settings, outcomes))
 
     rows = []
     for strategy in strategies:
         violated = tuple(
-            c.label
-            for c in ZERO_CONDITIONS
-            if outcome_of(strategy, c.settings[0]) == c.outcomes[0]
-            and outcome_of(strategy, c.settings[1]) == c.outcomes[1]
+            c.label for c in ZERO_CONDITIONS if answers(strategy, c.settings, c.outcomes)
         )
-        targets = (
-            outcome_of(strategy, FLAGGED_CONDITION.settings[0]) == FLAGGED_CONDITION.outcomes[0]
-            and outcome_of(strategy, FLAGGED_CONDITION.settings[1]) == FLAGGED_CONDITION.outcomes[1]
-        )
-        if outcome_of(strategy, "X1") == 1 and outcome_of(strategy, "X2") == 1:
-            region = "C"
-        elif outcome_of(strategy, "X1") != 1:
-            region = "A"
-        else:
-            region = "B"
+        targets = answers(strategy, FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes)
+        x1, x2 = (answers(strategy, (s,), (1,)) for s in ("X1", "X2"))
+        region = "C" if x1 and x2 else "B" if x1 else "A"
         rows.append(StrategyClassification(strategy, targets, violated, region))
     return ContradictionTrace(flagged_value, tuple(rows))

@@ -39,12 +39,10 @@ on those parties, which is at most the top eigenvalue of their reduced state
 :func:`peel_chain_cap` bounds that eigenvalue from above with three small
 matrix products and no eigensolver, and a node whose prefix times that cap
 times ``HARDY_MAX`` cannot beat the best finished order is skipped unpeeled.
-For a generic 5-qubit state the exhaustive search makes 54 peel calls
-instead of 89 with the branch caps alone, 285 unpruned and 420 when every
-order peeled afresh, and one report instead of 480; the default order makes
-7 peel calls, one report and no cap.  For GHZ5 it makes 19 peel calls and
-for W5 22 (165 and 225 with a memo keyed by the path from the searched
-state): neither finishes an applicable order, so neither is ever capped.
+For a generic 5-qubit state the exhaustive search makes 54 peel calls and
+one report; the default order makes 7 peel calls, one report and no cap.
+For GHZ5 it makes 19 peel calls and for W5 22: neither finishes an
+applicable order, so neither is ever capped.
 
 Each table (and each witness's condition values) builds its measurement
 chain once: every party's single-subsystem split and its setting-to-observable
@@ -419,7 +417,8 @@ def multipartite_witness(
 
     Candidate leaves are scored from their Schmidt weights only; the full
     two-party report (construction, joint table and its checks) is built
-    once, for the winning leaf, and raises :class:`NumericalFailure` as
+    once, for the winning leaf, at the call's ``eps_deg`` and ``zero_tol``,
+    and raises :class:`NumericalFailure` as
     before if that leaf fails its checks.  A losing leaf never gets a
     report, so a numerical failure that only its report would have shown
     no longer aborts the call.  ``eps_deg`` and ``zero_tol`` must be finite
@@ -469,7 +468,7 @@ def multipartite_witness(
             dims=v.dims,
         )
     steps, leaf, q_product, combined = best
-    report = make_witness_report(leaf, LEAF_SPLIT, pair=None, eps_deg=eps_deg)
+    report = make_witness_report(leaf, LEAF_SPLIT, eps_deg=eps_deg, zero_tol=zero_tol)
     peeled = {s.subsystem for s in steps}
     final = tuple(k for k in range(n) if k not in peeled)
     chain = _chain(n, report.construction, final, steps)

@@ -118,7 +118,12 @@ class ShotRecords:
             return NotImplemented
         if (self.schedule, self.outcome_pairs) == (other.schedule, other.outcome_pairs):
             return np.array_equal(self.cells, other.cells)
-        return list(self) == list(other)
+        # equal lengths give equal shot numbers, so the fields decide, one
+        # CHUNK of records at a time
+        return len(self) == len(other) and all(
+            [self._fields[c] for c in mine] == [other._fields[c] for c in theirs]
+            for (_, mine), (_, theirs) in zip(self._chunks(), other._chunks())
+        )
 
     __hash__ = None
 
@@ -246,29 +251,25 @@ def analyze(records: ShotRecords, exact_table: JointProbabilityTable) -> Frequen
         key = (pair, records.outcome_pairs[cell % n_pairs])
         pair_shots[pair] = pair_shots.get(pair, 0) + count
         counts[key] = counts.get(key, 0) + count
-    cells = []
+    cells = {}
     for choice in exact_table.setting_choices():
         n = pair_shots.get(choice, 0)
         for outcomes, exact in exact_table.row(choice):
             count = counts.get((choice, outcomes), 0)
             freq = count / n if n else None
             se = (max(exact * (1.0 - exact), 0.0) / n) ** 0.5 if n else None
-            cells.append(CellStats(choice, outcomes, count, n, freq, exact, se))
+            cells[choice, outcomes] = CellStats(choice, outcomes, count, n, freq, exact, se)
     verdicts = []
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
-        n = pair_shots.get(cond.settings, 0)
-        count = counts.get((cond.settings, cond.outcomes), 0)
-        exact = exact_table.prob(cond.settings, cond.outcomes)
-        freq = count / n if n else None
-        if n == 0:
+        c = cells[cond.settings, cond.outcomes]
+        if c.pair_shots == 0:
             passed = None
         elif cond.expect_zero:
-            passed = count == 0
+            passed = c.count == 0
         else:
-            se = (max(exact * (1.0 - exact), 0.0) / n) ** 0.5
-            passed = count > 0 and abs(freq - exact) <= DEFAULT_SIGMA * se
-        verdicts.append(ConditionStats(cond, count, n, freq, exact, passed))
-    return FrequencyReport(len(records), DEFAULT_SIGMA, tuple(cells), tuple(verdicts))
+            passed = c.count > 0 and abs(c.frequency - c.exact) <= DEFAULT_SIGMA * c.std_error
+        verdicts.append(ConditionStats(cond, c.count, c.pair_shots, c.frequency, c.exact, passed))
+    return FrequencyReport(len(records), DEFAULT_SIGMA, tuple(cells.values()), tuple(verdicts))
 
 
 def _csv_chunks(records: ShotRecords):

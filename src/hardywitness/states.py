@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a non-integer (numpy integers pass) raises."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise DimensionMismatch(f"{what} must be integers, got {values}") from None
+
+
 def make_state(dims, amps) -> StateVector:
     """Validate and normalize raw amplitudes into a :class:`StateVector`."""
-    dims = tuple(int(d) for d in dims)
+    dims = _integers(dims, "dimensions")
     if not dims or any(d < 2 for d in dims):
         raise DimensionMismatch(f"every subsystem dimension must be >= 2, got {dims}")
     a = np.asarray(amps, dtype=np.complex128).reshape(-1)
@@ -188,8 +198,8 @@ def apply_local_complement(
 
 def basis_state(dims, occupation) -> StateVector:
     """Computational basis state |occupation[0], occupation[1], ...>."""
-    dims = tuple(int(d) for d in dims)
-    occupation = tuple(int(k) for k in occupation)
+    dims = _integers(dims, "dimensions")
+    occupation = _integers(occupation, "occupations")
     if len(occupation) != len(dims) or any(
         not 0 <= k < d for k, d in zip(occupation, dims)
     ):

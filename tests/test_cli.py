@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -120,6 +121,15 @@ class TestWitnessCommand:
         assert doc["final_report"]["hardy_closed_form"] == pytest.approx(
             4 / 45, abs=1e-9
         )
+
+    def test_multipartite_leaf_report_uses_zero_tol(self, tmp_path, capsys):
+        path = tmp_path / "tri.json"
+        hw.dump_state(hw.make_state([2, 2, 2], [2, 0, 0, 0, 0, 0, 1, 2]), path)
+        argv = ["witness", "--state", str(path), "--mode", "multipartite", "--zero-tol", "1e-3"]
+        assert main([*argv, "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["applicable"] is True
+        assert doc["final_report"]["zero_tol"] == 1e-3
 
     def test_stable_output_bytes(self, state_file, capsys):
         main(["witness", "--state", state_file, "--split", "1|2", "--format", "machine"])
@@ -386,6 +396,11 @@ class TestSimulateCommand:
 
 class TestNotApplicableReasons:
     """witness, certify and schmidt word one state's verdict the same way."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_renderer_reads_only_its_tree(self, command):
+        _, show = cli.COMMANDS[command]
+        assert list(inspect.signature(show).parameters) == ["tree"]
 
     @pytest.mark.parametrize(
         "amps, reason",

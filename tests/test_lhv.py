@@ -45,6 +45,15 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             hw.enumerate_strategies([10, 10], [(1, -1, 0), (1, -1, 0)])
 
+    @pytest.mark.parametrize("counts", [[1.5, 1], [1.0, 1], ["1", 1]])
+    def test_non_integer_setting_counts_rejected(self, counts):
+        # 1.5 used to be truncated to 1 (4 strategies)
+        with pytest.raises(ValueError, match="setting counts must be integers"):
+            hw.enumerate_strategies(counts, [(1, -1), (1, -1)])
+
+    def test_numpy_integer_setting_counts(self):
+        assert len(hw.enumerate_strategies(np.array([2, 1]), [(1, -1), (1, -1)])) == 8
+
     def test_assignments_cover_all_settings(self):
         strategies = hw.enumerate_strategies([2, 1], [(1, -1), (0, 1)])
         assert len(strategies) == 4 * 2
@@ -118,9 +127,9 @@ class TestConstraintSystem:
         ]
         entries = {key: 1.0 / (k + 2) for k, key in enumerate(keys)}
         table = JointProbabilityTable(party_settings, party_outcomes, list(entries.values()))
-        a, b = _constraint_system(table)
-        assert table.ordered_keys() == keys
         strategies = hw.strategies_for_table(table)
+        a, b = _constraint_system(table, strategies)
+        assert table.ordered_keys() == keys
         oracle = np.zeros((len(keys) + 1, len(strategies)))
         for col, strategy in enumerate(strategies):
             for row, (choice, outcomes) in enumerate(keys):
@@ -153,7 +162,8 @@ def _with_one_setting_parties(two, extra):
 class TestOneEnumeration:
     def test_constraint_system_builds_no_strategy(self, report_08_02, monkeypatch):
         monkeypatch.setattr(lhv, "DeterministicStrategy", _refuse_strategy)
-        a, b = _constraint_system(report_08_02.table)
+        table = report_08_02.table
+        a, b = _constraint_system(table, hw.strategies_for_table(table))
         assert a.shape == (37, 81) and b.shape == (37,)
 
     def test_certify_builds_no_strategy(self, report_08_02, tripartite_example, monkeypatch):
@@ -168,15 +178,17 @@ class TestOneEnumeration:
             assert not hw.certify(table).feasible
 
     def test_certify_enumerates_once(self, report_08_02, tripartite_example, monkeypatch):
+        """One strategy space per certify: the core LP reads the table's space."""
+        witness = hw.multipartite_witness(tripartite_example)
+        tripartite = hw.multipartite_table(tripartite_example, witness)
         calls = []
-        enumerate_table = lhv.strategies_for_table
+        enumerate_strategies = lhv.enumerate_strategies
         monkeypatch.setattr(
-            lhv, "strategies_for_table", lambda t: calls.append(t) or enumerate_table(t)
+            lhv, "enumerate_strategies", lambda *a: calls.append(a) or enumerate_strategies(*a)
         )
         hw.certify(report_08_02.table)
         assert len(calls) == 1
-        witness = hw.multipartite_witness(tripartite_example)
-        hw.certify(hw.multipartite_table(tripartite_example, witness))
+        hw.certify(tripartite)
         assert len(calls) == 2
 
 
@@ -223,7 +235,8 @@ class TestPinnedSolves:
             ),
             "bell_mixture": _bell_degenerate_table,
         }
-        a, b = _constraint_system(tables[name]())
+        table = tables[name]()
+        a, b = _constraint_system(table, hw.strategies_for_table(table))
         res = hw.solve_equality_feasibility(a, b)
         feasible, iterations, infeasibility, digest = self.PINNED[name]
         assert res.feasible == feasible
@@ -239,7 +252,8 @@ class TestCertifyBipartite:
         assert not cert.feasible
         assert cert.margin > 1e-9
         # re-verify the certificate against raw data, independently of certify
-        a, b = _constraint_system(report_08_02.table)
+        table = report_08_02.table
+        a, b = _constraint_system(table, hw.strategies_for_table(table))
         dots = cert.dual @ a
         assert float(np.max(dots)) <= 1e-12
         assert abs(float(cert.dual @ b) - cert.margin) < 1e-12
@@ -263,7 +277,7 @@ class TestCertifyBipartite:
         table = hw.joint_table(product, report_08_02.construction)
         cert = hw.certify(table)
         assert cert.feasible
-        a, b = _constraint_system(table)
+        a, b = _constraint_system(table, hw.strategies_for_table(table))
         assert np.max(np.abs(a[:-1] @ cert.weights - b[:-1])) < 1e-8
 
     def test_deterministic_product_state_single_strategy(self):
@@ -390,8 +404,8 @@ class TestCertifySlices:
     )
     def test_matches_dense_system(self, table):
         cert = hw.certify(table)
-        a, b = _constraint_system(table)
         keys, strategies = tuple(table.ordered_keys()), hw.strategies_for_table(table)
+        a, b = _constraint_system(table, strategies)
         dense = hw.solve_equality_feasibility(a, b)
         assert cert.feasible == dense.feasible
         assert list(cert.strategies) == list(strategies)
@@ -442,7 +456,7 @@ class TestCertifySlices:
             probs[..., 1] += 0.01
         table = JointProbabilityTable(settings, outcomes, probs)
         cert = hw.certify(table)
-        a, b = _constraint_system(table)
+        a, b = _constraint_system(table, hw.strategies_for_table(table))
         assert not hw.solve_equality_feasibility(a, b).feasible
         assert not cert.feasible
         dots = cert.dual @ a
@@ -478,7 +492,7 @@ class TestCertifySlices:
         # its dual re-verifies against the two-party columns
         y = cert.dual[:-1].reshape(table.probs.shape)[(..., *[0] * 8)].ravel()
         assert np.count_nonzero(cert.dual) == np.count_nonzero(y)
-        a2, _ = _constraint_system(two)
+        a2, _ = _constraint_system(two, hw.strategies_for_table(two))
         assert float((y @ a2[:-1]).max()) <= DUAL_SLACK_TOL
 
     def test_fourteen_parties_in_bounded_memory(self, report_08_02):

@@ -208,6 +208,11 @@ class TestMultipartiteWitness:
             with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
                 hw.multipartite_witness(tripartite_example, exhaustive=exhaustive, **{name: value})
 
+    def test_leaf_report_uses_zero_tol(self, tripartite_example):
+        w = hw.multipartite_witness(tripartite_example, zero_tol=1e-3)
+        assert w.final_report.zero_tol == 1e-3
+        assert all(c.within_tolerance for c in w.final_report.zero_values)
+
     def test_peel_order_with_exhaustive_rejected(self, tripartite_example):
         # an invalid order too: it used to be ignored, not validated
         for order in [(2,), (7,)]:

@@ -346,6 +346,23 @@ class TestRecords:
             tracemalloc.stop()
         assert peak < 16 * CHUNK
 
+    def test_compare_across_schedules_in_bounded_memory(self, report_08_02):
+        """Equal records under different schedules compare one chunk at a time."""
+        shots, pair = 3 * CHUNK + 1, ("X1", "X2")
+        one = sample_from_table(report_08_02.table, shots, 6, [pair])
+        two = sample_from_table(report_08_02.table, shots, 6, [pair, pair])
+        shorter = sample_from_table(report_08_02.table, shots - 1, 6, [pair, pair])
+        tracemalloc.start()
+        try:
+            assert one == two
+            assert one != shorter
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        changed = sample_from_table(report_08_02.table, shots, 7, [pair, pair])
+        assert one != changed
+
 
 class TestShotCap:
     def test_past_cap_raises_before_allocating(self, report_08_02):

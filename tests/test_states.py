@@ -41,6 +41,16 @@ class TestNormalize:
         with pytest.raises(DimensionMismatch):
             hw.make_state([2], [np.nan, 0.0])
 
+    @pytest.mark.parametrize("dims", [[2.7, 2], [2.0, 2], ["2", 2]])
+    def test_non_integer_dims_rejected(self, dims):
+        # 2.7 used to be truncated to 2
+        with pytest.raises(DimensionMismatch, match="dimensions must be integers"):
+            hw.make_state(dims, [1.0, 0.0, 0.0, 1.0])
+
+    def test_numpy_integer_dims(self):
+        v = hw.make_state(np.array([2, 2]), [1.0, 0.0, 0.0, 1.0])
+        assert v.dims == (2, 2) and all(type(d) is int for d in v.dims)
+
     def test_overflowing_norm(self):
         # finite amplitudes whose squares overflow: the norm is inf, and
         # dividing by it would give the all-zero vector
@@ -184,6 +194,18 @@ class TestHelpers:
         v = hw.basis_state([2, 3], (1, 2))
         assert v.amps[5] == 1.0
         assert np.sum(np.abs(v.amps)) == 1.0
+
+    @pytest.mark.parametrize(
+        "dims, occupation", [([2, 2], (1.9, 0)), ([2.5, 2], (1, 0))], ids=["occupation", "dims"]
+    )
+    def test_basis_state_rejects_non_integers(self, dims, occupation):
+        # (1.9, 0) used to give |10>
+        with pytest.raises(DimensionMismatch, match="must be integers"):
+            hw.basis_state(dims, occupation)
+
+    def test_basis_state_numpy_integers(self):
+        v = hw.basis_state(np.array([2, 3]), (np.int64(1), np.uint8(2)))
+        assert v.dims == (2, 3) and v.amps[5] == 1.0
 
     def test_ghz(self):
         g = hw.ghz_state(3, 2)
