@@ -11,8 +11,9 @@ A command imports the ``lhv``, ``multipartite`` or ``sampling`` layer where
 it runs and calls it through that module (``lhv.certify(table)``), so
 ``schmidt``, bipartite ``witness`` and ``scan`` load none of them and
 ``certify`` never loads ``sampling``.  The names ``certify``,
-``multipartite_witness``, ``multipartite_table``, ``sample_from_table`` and
-``analyze`` stay importable from here, but the commands do not call them.
+``multipartite_witness``, ``multipartite_table``, ``sample_from_table``,
+``analyze``, ``build_construction`` and ``joint_table`` stay importable from
+here for the benchmark's tracer, but the commands do not call them.
 
 Exit codes: 0 success (including a Feasible certificate), 3 Infeasible
 certificate, 1 usage or input errors, 2 numerical failures.  A closed
@@ -32,6 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadPartition, HardyWitnessError, NumericalFailure
+# build_construction and joint_table are unused here: perfbench/tracing.py patches them.
 from .hardy import (
     DEFAULT_EPS_DEG,
     DEFAULT_ZERO_TOL,
@@ -39,7 +41,6 @@ from .hardy import (
     JointProbabilityTable,
     WitnessReport,
     build_construction,
-    choose_pair,
     distinct_weight_pairs,
     entry_label,
     hardy_probability,
@@ -443,9 +444,9 @@ def _zero_tol(args) -> float:
 
 
 def _bipartite_report(args, v) -> WitnessReport:
-    split = _split_for(args, v)
     return make_witness_report(
-        v, split, parse_pair(args.pair), eps_deg=args.eps_deg, zero_tol=_zero_tol(args)
+        v, _split_for(args, v), parse_pair(args.pair), eps_deg=args.eps_deg,
+        zero_tol=_zero_tol(args), allow_degenerate=getattr(args, "allow_degenerate", False),
     )
 
 
@@ -511,14 +512,8 @@ def _certify_table(args, v) -> tuple[JointProbabilityTable | None, str | None]:
 
         w = _multipartite_witness(args, v)
         return (multipartite.multipartite_table(v, w), None) if w.applicable else (None, w.reason)
-    d = schmidt_decompose(v, _split_for(args, v))
-    pair = parse_pair(args.pair)
-    if pair is None:
-        pair, reason = choose_pair(d.weights, args.eps_deg)
-        if pair is None:
-            return None, reason
-    construction = build_construction(d, pair, args.eps_deg, allow_degenerate=args.allow_degenerate)
-    return joint_table(v, construction), None
+    report = _bipartite_report(args, v)
+    return report.table, report.reason
 
 
 def cmd_certify(args, v) -> dict:

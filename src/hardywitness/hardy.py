@@ -528,13 +528,17 @@ def make_witness_report(
     pair: tuple[int, int] | None = None,
     eps_deg: float = DEFAULT_EPS_DEG,
     zero_tol: float = DEFAULT_ZERO_TOL,
+    *,
+    allow_degenerate: bool = False,
 ) -> WitnessReport:
     """Build the full test report for one state and bipartition.
 
     With ``pair=None`` the pair comes from :func:`choose_pair`; when no
     distinct pair exists the state is reported as not applicable, with its
-    reason (nothing can be concluded about it).  ``eps_deg`` and
-    ``zero_tol`` must be finite and positive, or ``ValueError`` is raised.
+    reason (nothing can be concluded about it).  ``allow_degenerate`` goes
+    to :func:`build_construction`.  The table has passed the closed-form
+    check, or ``NumericalFailure`` is raised.  ``eps_deg`` and ``zero_tol``
+    must be finite and positive, or ``ValueError`` is raised.
     """
     _check_tolerances(eps_deg=eps_deg, zero_tol=zero_tol)
     d = schmidt_decompose(v, split)
@@ -543,7 +547,7 @@ def make_witness_report(
         pair, reason = choose_pair(d.weights, eps_deg)
         if pair is None:
             return WitnessReport(False, reason, split, weights, eps_deg, zero_tol)
-    construction = build_construction(d, pair, eps_deg)
+    construction = build_construction(d, pair, eps_deg, allow_degenerate=allow_degenerate)
     table = joint_table(v, construction)
     values = [table.prob(c.settings, c.outcomes) for c in ZERO_CONDITIONS]
     zero_values = tuple(

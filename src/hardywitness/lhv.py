@@ -271,7 +271,14 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
 
 
 def idealized_table(table: JointProbabilityTable) -> JointProbabilityTable:
-    """Copy of the table with the five zero-condition entries snapped to exact 0."""
+    """Copy of a ``joint_table`` table with the five zero-condition entries snapped to 0."""
+    axes = (table.party_settings, table.party_outcomes)
+    if axes != ((SIDE1_SETTINGS, SIDE2_SETTINGS), (TERNARY_OUTCOMES, TERNARY_OUTCOMES)):
+        raise ValueError(
+            "idealizing needs a two-party construction table (settings X1, Y1 | X2, Y2; "
+            f"outcomes 1, -1, 0), got {table.n_parties} parties with settings "
+            f"{table.party_settings} and outcomes {table.party_outcomes}"
+        )
     probs = table.probs.copy()
     for cond in ZERO_CONDITIONS:
         probs[table.index(cond.settings, cond.outcomes)] = 0.0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hardywitness as hw
-from hardywitness import cli, sampling
+from hardywitness import cli, hardy, sampling
 from hardywitness.cli import main, machine_dumps, parse_split
 from hardywitness.hardy import GRID_CAP, JointProbabilityTable, entry_label
 from hardywitness.multipartite import ORDER_CAP
@@ -213,6 +213,29 @@ class TestCertifyCommand:
                      "--pair", "0,1"])
         assert code == 1
         assert "eps_deg" in capsys.readouterr().err
+
+    def test_decides_only_a_table_that_passed_the_closed_form_check(
+        self, state_file, monkeypatch, capsys
+    ):
+        """Certify takes its table from the witness report, checks included."""
+        real = hardy.joint_table
+
+        def tampered(v, construction):
+            # move 1e-6 from P(Y1=+1, Y2=-1) to the flagged entry
+            table = real(v, construction)
+            probs = table.probs.copy()
+            probs[table.index(("Y1", "Y2"), (1, -1))] -= 1e-6
+            probs[table.index(("Y1", "Y2"), (1, 1))] += 1e-6
+            return JointProbabilityTable(table.party_settings, table.party_outcomes, probs)
+
+        monkeypatch.setattr(hardy, "joint_table", tampered)
+        monkeypatch.setattr(cli, "joint_table", tampered)
+        # a certify that built its own table decided the tampered one (exit 3)
+        assert main(["certify", "--state", state_file, "--split", "1|2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: measured flagged probability ")
+        assert "disagrees with closed form" in captured.err
 
     def test_not_applicable_auto(self, bell_file, capsys):
         assert main(["certify", "--state", bell_file, "--split", "1|2"]) == 0

@@ -349,6 +349,20 @@ class TestWitnessReport:
         assert not report.applicable
         assert "rank 1" in report.reason
 
+    def test_degenerate_pair_allowed_by_flag(self):
+        bell = hw.make_state([2, 2], [1, 0, 0, 1])
+        report = hw.make_witness_report(bell, SPLIT, pair=(0, 1), allow_degenerate=True)
+        assert report.applicable
+        assert report.hardy_closed_form == 0.0
+        d = hw.schmidt_decompose(bell, SPLIT)
+        table = hw.joint_table(bell, hw.build_construction(d, (0, 1), allow_degenerate=True))
+        assert report.table.probs.tobytes() == table.probs.tobytes()
+
+    def test_degenerate_pair_rejected_without_flag(self):
+        bell = hw.make_state([2, 2], [1, 0, 0, 1])
+        with pytest.raises(DegeneratePair, match="agree within eps_deg"):
+            hw.make_witness_report(bell, SPLIT, pair=(0, 1))
+
     def test_measured_matches_closed_form_on_suite(self, witness_suite):
         for _, report in witness_suite[:25]:
             assert abs(report.hardy_measured - report.hardy_closed_form) < 1e-9

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 import time
 import tracemalloc
 
@@ -13,7 +14,12 @@ from numpy.testing import assert_allclose
 import hardywitness as hw
 from hardywitness import lhv
 from hardywitness.errors import TooLarge
-from hardywitness.hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, JointProbabilityTable
+from hardywitness.hardy import (
+    CLOSED_FORM_TOL,
+    FLAGGED_CONDITION,
+    ZERO_CONDITIONS,
+    JointProbabilityTable,
+)
 from hardywitness.lhv import (
     DUAL_SLACK_TOL,
     MIN_MARGIN,
@@ -22,7 +28,7 @@ from hardywitness.lhv import (
     _constraint_system,
 )
 
-from conftest import random_state
+from conftest import random_state, random_unitary
 
 SPLIT = hw.Bipartition((0,), (1,))
 
@@ -592,3 +598,83 @@ class TestIdealizedAgreement:
         trace = hw.verify_no_deterministic_model(flagged_value)
         cert = hw.certify(hw.idealized_table(table))
         assert trace.contradiction == (not cert.feasible) == False  # noqa: E712
+
+
+    def test_multipartite_table_rejected_with_a_named_requirement(self, tripartite_example):
+        # used to fail inside JointProbabilityTable.index: "tuple.index(x): x not in tuple"
+        table = hw.multipartite_table(
+            tripartite_example, hw.multipartite_witness(tripartite_example)
+        )
+        with pytest.raises(ValueError, match="idealizing needs a two-party construction "
+                           r"table .*, got 3 parties with settings"):
+            hw.idealized_table(table)
+
+
+def _prescribed_weights_table(d):
+    """Table of the report on U diag(w) V^T, w distinct and decreasing."""
+    rng = np.random.default_rng(700 + d)
+    w = np.sort(rng.uniform(0.1, 1.0, d))[::-1]
+    m = random_unitary(rng, d) @ np.diag(w / np.linalg.norm(w)) @ random_unitary(rng, d).T
+    report = hw.make_witness_report(hw.make_state([d, d], m.ravel()), SPLIT)
+    assert report.applicable
+    return report.table, report.hardy_closed_form, ()
+
+
+def _multipartite_case(v):
+    w = hw.multipartite_witness(v)
+    assert w.applicable
+    return (
+        hw.multipartite_table(v, w),
+        w.combined_probability,
+        tuple(s.marked_eigenvalue for s in w.steps),
+    )
+
+
+def _paper_cases():
+    rng = np.random.default_rng(20261020)
+    cases = {f"bipartite_d{d}": lambda d=d: _prescribed_weights_table(d) for d in range(2, 17)}
+    for n in (3, 4, 5):
+        v = random_state(rng, [2] * n)
+        cases[f"qubits{n}"] = lambda v=v: _multipartite_case(v)
+    v = random_state(rng, [3, 3, 3])
+    cases["qutrits3"] = lambda v=v: _multipartite_case(v)
+    return cases
+
+
+PAPER_CASES = _paper_cases()
+
+
+class TestPaperInequality:
+    """The paper's argument as an exact Farkas vector on each construction table.
+
+    +1 on the flagged entry and -1 on the five zero-condition entries, each
+    widened by the peeled parties' marked outcomes: every deterministic local
+    strategy that produces the flagged outcome breaks a zero condition, so the
+    vector's dot with every 0/1 strategy column is at most 0, while its value
+    on the table is the flagged probability minus the zero entries.
+    """
+
+    @pytest.mark.parametrize("name", list(PAPER_CASES) + ["tripartite_2_45"])
+    def test_exact_inequality_and_margin(self, name, tripartite_example):
+        if name == "tripartite_2_45":
+            table, expected, marked = _multipartite_case(tripartite_example)
+        else:
+            table, expected, marked = PAPER_CASES[name]()
+        peeled = tuple(labels[0] for labels in table.party_settings[2:])
+        assert len(peeled) == len(marked)
+        y = np.zeros(table.probs.size, dtype=np.int64)
+        entries = []
+        for c, sign in [(FLAGGED_CONDITION, 1)] + [(c, -1) for c in ZERO_CONDITIONS]:
+            k = np.ravel_multi_index(
+                table.index(c.settings + peeled, c.outcomes + marked), table.probs.shape
+            )
+            y[k] = sign
+            entries.append((sign, float(table.probs.ravel()[k])))
+        a, _ = _constraint_system(table, hw.strategies_for_table(table))
+        columns = a[:-1].astype(np.int64)
+        assert np.array_equal(columns, a[:-1])  # 0/1 columns, exactly
+        assert (y @ columns).max() <= 0
+        margin = sum(sign * Fraction(x) for sign, x in entries)
+        assert margin > 0
+        assert abs(margin - Fraction(expected)) <= CLOSED_FORM_TOL
+        assert not hw.certify(table).feasible
