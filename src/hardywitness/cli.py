@@ -274,7 +274,7 @@ def _reject_unread_flags(args) -> None:
     if mode is None:
         return
     unread = MODE_ONLY_FLAGS["multipartite" if mode == "bipartite" else "bipartite"]
-    if args.command == "certify" and mode == "bipartite":
+    if args.command == "certify":
         unread += ("zero_tol",)
     for name in unread:
         if getattr(args, name, None) not in (None, False):
@@ -559,9 +559,7 @@ def cmd_simulate(args, v) -> dict:
     report = _bipartite_report(args, v)
     if not report.applicable:
         raise ValueError(f"cannot simulate: construction not applicable ({report.reason})")
-    records = sampling.sample_from_table(
-        report.table, args.shots, args.seed, sampling.DEFAULT_SCHEDULE
-    )
+    records = sampling.sample_from_table(report.table, args.shots, args.seed)
     freq = sampling.analyze(records, report.table)
     if args.export:
         sampling.export_csv(records, args.export)

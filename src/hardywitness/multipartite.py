@@ -373,7 +373,12 @@ def _chain_probabilities(v: StateVector, chain, party_settings, party_outcomes) 
 def _evaluate_conditions(
     v: StateVector, chain, steps: tuple[PeelStep, ...], combined: float, zero_tol: float
 ) -> tuple[ConditionValue, ...]:
-    """The six conditions, each widened by every peeled party's marked outcome."""
+    """The six conditions, each widened by every peeled party's marked outcome.
+
+    A zero condition at or above ``zero_tol`` is marked not within
+    tolerance; a flagged value more than ``CLOSED_FORM_TOL`` from
+    ``combined`` raises :class:`NumericalFailure`.
+    """
     values = []
     t_settings = tuple(s.observable.label for s in steps)
     t_outcomes = tuple(s.marked_eigenvalue for s in steps)
@@ -384,16 +389,11 @@ def _evaluate_conditions(
         measured = _chain_probabilities(
             v, chain, [(s,) for s in joint.settings], [(o,) for o in joint.outcomes]
         ).item()
-        if cond.expect_zero:
-            ok = measured < zero_tol
-        else:
-            ok = abs(measured - combined) < CLOSED_FORM_TOL
-        values.append(ConditionValue(joint, measured, ok))
-        if not ok:
+        if not cond.expect_zero and abs(measured - combined) > CLOSED_FORM_TOL:
             raise NumericalFailure(
-                f"joint condition {joint.label} measured {measured!r}, "
-                f"expected {'0' if cond.expect_zero else repr(combined)}"
+                f"joint condition {joint.label} measured {measured!r}, expected {combined!r}"
             )
+        values.append(ConditionValue(joint, measured, not cond.expect_zero or measured < zero_tol))
     return tuple(values)
 
 
@@ -418,12 +418,14 @@ def multipartite_witness(
     Candidate leaves are scored from their Schmidt weights only; the full
     two-party report (construction, joint table and its checks) is built
     once, for the winning leaf, at the call's ``eps_deg`` and ``zero_tol``,
-    and raises :class:`NumericalFailure` as
-    before if that leaf fails its checks.  A losing leaf never gets a
-    report, so a numerical failure that only its report would have shown
-    no longer aborts the call.  ``eps_deg`` and ``zero_tol`` must be finite
-    and positive, and every ``peel_order`` entry an integer (numpy integers
-    included), or ``ValueError`` is raised before any peel.
+    and raises :class:`NumericalFailure` as before if that leaf fails its
+    checks.  A losing leaf never gets a report, so a numerical failure that
+    only its report would have shown no longer aborts the call.
+    ``zero_tol`` judges the joint zero conditions and the final report's: a
+    value at or above it is marked not within tolerance and never raises.
+    ``eps_deg`` and ``zero_tol`` must be finite and positive, and every
+    ``peel_order`` entry an integer (numpy integers included), or
+    ``ValueError`` is raised before any peel.
     """
     n = len(v.dims)
     if n < 3:

@@ -12,11 +12,12 @@ Shots are drawn, stored, counted and exported as whole arrays.  The
 generator uses only wrapping uint64 arithmetic, so ``uniform_chunk`` gives
 numpy arrays equal bit for bit to the scalar ``uniform_unit``.  Shots are
 drawn ``CHUNK`` counters at a time, and a run is kept as a ``ShotRecords``:
-one column with one small-integer cell per shot (1 byte per shot for the
-default schedule), its schedule and its outcome pairs.  Shot k is cell k,
-and iterating a run yields one ``ShotRecord`` per shot.  ``analyze``
-counts the column with ``np.bincount`` and the CSV export writes it, both
-``CHUNK`` shots at a time.
+its table and one column with one small-integer cell per shot, the flat
+position of the shot's entry in ``table.probs`` (1 byte per shot for a
+two-party construction table).  Shot k is cell k, and iterating a run
+yields one ``ShotRecord`` per shot.  ``analyze`` counts the column with
+``np.bincount`` and the CSV export writes it, both ``CHUNK`` shots at a
+time.
 """
 
 from __future__ import annotations
@@ -83,22 +84,18 @@ class ShotRecord:
 
 
 class ShotRecords:
-    """One run of shots as a column of cells.
+    """One run of shots drawn from ``table``, as a column of cells.
 
-    Cell ``slot * len(outcome_pairs) + i`` is a shot that used setting pair
-    ``schedule[slot]`` and got ``outcome_pairs[i]``.  Shot k is position k
-    of ``cells``; iterating yields one ``ShotRecord`` per shot, in order.
+    A cell is the flat position of the shot's entry in ``table.probs``,
+    ``row * n_outcome_pairs + outcome_index`` in ``table.ordered_keys()``
+    order.  Shot k is position k of ``cells``; iterating yields one
+    ``ShotRecord`` per shot, in order.
     """
 
-    def __init__(self, cells: np.ndarray, schedule, outcome_pairs):
+    def __init__(self, cells: np.ndarray, table: JointProbabilityTable):
         self.cells = cells
-        self.schedule = tuple(schedule)
-        self.outcome_pairs = tuple(outcome_pairs)
-        self._fields = [
-            (pair[0], pair[1], outcomes[0], outcomes[1])
-            for pair in self.schedule
-            for outcomes in self.outcome_pairs
-        ]
+        self.table = table
+        self._fields = [(*settings, *outcomes) for settings, outcomes in table.ordered_keys()]
 
     def _chunks(self):
         """(first shot number, cells as ints) for every CHUNK shots in order."""
@@ -116,14 +113,7 @@ class ShotRecords:
     def __eq__(self, other):
         if not isinstance(other, ShotRecords):
             return NotImplemented
-        if (self.schedule, self.outcome_pairs) == (other.schedule, other.outcome_pairs):
-            return np.array_equal(self.cells, other.cells)
-        # equal lengths give equal shot numbers, so the fields decide, one
-        # CHUNK of records at a time
-        return len(self) == len(other) and all(
-            [self._fields[c] for c in mine] == [other._fields[c] for c in theirs]
-            for (_, mine), (_, theirs) in zip(self._chunks(), other._chunks())
-        )
+        return self._fields == other._fields and np.array_equal(self.cells, other.cells)
 
     __hash__ = None
 
@@ -137,7 +127,8 @@ def sample_from_table(
     """Draw shots by inverse CDF over the outcome pairs of each setting pair.
 
     Shot k uses counter k of the seed's stream and the schedule entry
-    k mod len(schedule).  Outcome pairs are scanned in the table's fixed
+    k mod len(schedule), and its cell is the flat position of the drawn
+    entry in ``table.probs``.  Outcome pairs are scanned in the table's fixed
     outcome order and shot k takes the first pair whose running sum exceeds
     its uniform u, so a zero-probability pair owns an empty interval and is
     never taken while u lies below the row's last edge.  When u lies at or
@@ -163,13 +154,12 @@ def sample_from_table(
     schedule = [tuple(pair) for pair in schedule]
     if not schedule:
         raise ValueError("schedule must not be empty")
-    choices = set(table.setting_choices())
+    rows = {choice: r for r, choice in enumerate(table.setting_choices())}
     for pair in schedule:
-        if pair not in choices:
+        if pair not in rows:
             raise ValueError(f"schedule entry {pair} is not a setting choice")
-    outcome_pairs = tuple(table.outcome_tuples())
-    n_pairs = len(outcome_pairs)
-    edges, beyond = [], []
+    n_pairs = table.probs[0, 0].size
+    edges, beyond, offsets = [], [], []
     for pair in schedule:
         row = table.probs[table.index(pair)].ravel()
         if not np.isfinite(row).all():
@@ -182,8 +172,9 @@ def sample_from_table(
         edges.append(np.maximum.accumulate(np.cumsum(row)))
         # u landed beyond the (~1.0) last edge: take the last positive entry
         beyond.append(int(positive[-1]))
+        offsets.append(rows[pair] * n_pairs)
     period = len(schedule)
-    cells = np.empty(shots, dtype=np.min_scalar_type(period * n_pairs - 1))
+    cells = np.empty(shots, dtype=np.min_scalar_type(table.probs.size - 1))
     for start in range(0, shots, CHUNK):
         stop = min(start + CHUNK, shots)
         u = uniform_chunk(seed, start, stop)
@@ -191,8 +182,8 @@ def sample_from_table(
             slot = (start + j) % period
             chosen = np.searchsorted(edges[slot], u[j::period], side="right")
             chosen[chosen == n_pairs] = beyond[slot]
-            cells[start + j : stop : period] = slot * n_pairs + chosen
-    return ShotRecords(cells, schedule, outcome_pairs)
+            cells[start + j : stop : period] = offsets[slot] + chosen
+    return ShotRecords(cells, table)
 
 
 @dataclass(frozen=True)
@@ -236,26 +227,25 @@ def analyze(records: ShotRecords, exact_table: JointProbabilityTable) -> Frequen
     within ``DEFAULT_SIGMA`` binomial standard errors of the exact value.  Conditions
     whose setting pair received no shots are reported unevaluated.  An exact
     entry a hair outside [0, 1], as ``check`` tolerates, has standard error 0.
+
+    Cells are counted per table entry, one ``np.bincount`` per ``CHUNK``
+    shots, and read back one row per setting choice.  Records drawn from a
+    table with other settings or outcomes than ``exact_table`` raise
+    ``ValueError``.
     """
-    n_pairs = len(records.outcome_pairs)
-    n_cells = len(records.schedule) * n_pairs
+    axes = (exact_table.party_settings, exact_table.party_outcomes)
+    if (records.table.party_settings, records.table.party_outcomes) != axes:
+        raise ValueError("records were drawn from a table with other settings or outcomes")
     # bincount casts its input to intp: one chunk at a time keeps that copy
     # at CHUNK * 8 bytes instead of 8 bytes per shot
-    per_cell = np.zeros(n_cells, dtype=np.int64)
+    per_entry = np.zeros(exact_table.probs.size, dtype=np.int64)
     for start in range(0, len(records), CHUNK):
-        per_cell += np.bincount(records.cells[start : start + CHUNK], minlength=n_cells)
-    pair_shots: dict = {}
-    counts: dict = {}
-    for cell, count in enumerate(per_cell.tolist()):
-        pair = records.schedule[cell // n_pairs]
-        key = (pair, records.outcome_pairs[cell % n_pairs])
-        pair_shots[pair] = pair_shots.get(pair, 0) + count
-        counts[key] = counts.get(key, 0) + count
+        per_entry += np.bincount(records.cells[start : start + CHUNK], minlength=per_entry.size)
+    counts = per_entry.reshape(-1, exact_table.probs[0, 0].size).tolist()
     cells = {}
-    for choice in exact_table.setting_choices():
-        n = pair_shots.get(choice, 0)
-        for outcomes, exact in exact_table.row(choice):
-            count = counts.get((choice, outcomes), 0)
+    for choice, row_counts in zip(exact_table.setting_choices(), counts):
+        n = sum(row_counts)
+        for (outcomes, exact), count in zip(exact_table.row(choice), row_counts):
             freq = count / n if n else None
             se = (max(exact * (1.0 - exact), 0.0) / n) ** 0.5 if n else None
             cells[choice, outcomes] = CellStats(choice, outcomes, count, n, freq, exact, se)

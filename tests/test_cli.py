@@ -131,6 +131,16 @@ class TestWitnessCommand:
         assert doc["applicable"] is True
         assert doc["final_report"]["zero_tol"] == 1e-3
 
+    def test_multipartite_zero_condition_past_zero_tol_is_marked_failed(self, tri_file, capsys):
+        # the joint zero conditions sit near 1e-33, above this tolerance
+        argv = ["witness", "--state", tri_file, "--mode", "multipartite", "--zero-tol", "1e-40"]
+        assert main([*argv, "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        marks = [c["within_tolerance"] for c in doc["conditions"]]
+        assert marks == [False] * 5 + [True]
+        assert main(argv) == 0
+        assert "FAILED" in capsys.readouterr().out
+
     def test_stable_output_bytes(self, state_file, capsys):
         main(["witness", "--state", state_file, "--split", "1|2", "--format", "machine"])
         first = capsys.readouterr().out
@@ -309,6 +319,7 @@ class TestModeFlags:
             ("certify", "multipartite", ["--pair", "auto"]),
             ("certify", "multipartite", ["--allow-degenerate"]),
             ("certify", "multipartite", ["--idealized"]),
+            ("certify", "multipartite", ["--zero-tol", "1e-6"]),
         ],
     )
     def test_rejects_flags_its_mode_does_not_read(
@@ -326,7 +337,7 @@ class TestModeFlags:
         assert main(["witness", "--state", state_file, "--split", "1|2", "--pair", "auto",
                      "--zero-tol", "1e-6"]) == 0
         assert main(["certify", "--state", tri_file, "--mode", "multipartite",
-                     "--zero-tol", "1e-6", "--exhaustive-orders"]) == 3
+                     "--exhaustive-orders"]) == 3
 
 
 class TestSimulateCommand:

@@ -100,9 +100,19 @@ class TestSample:
     @given(sampling_cases())
     def test_matches_per_shot_loop(self, case):
         table, shots, seed, schedule = case
-        assert list(sample_from_table(table, shots, seed, schedule)) == _loop_sample(
-            table, shots, seed, schedule
-        )
+        records = sample_from_table(table, shots, seed, schedule)
+        expected = _loop_sample(table, shots, seed, schedule)
+        assert list(records) == expected
+        # each cell is the flat position of its record's entry in table.probs
+        positions = [
+            np.ravel_multi_index(
+                table.index((r.setting1, r.setting2), (r.outcome1, r.outcome2)), table.probs.shape
+            )
+            for r in expected
+        ]
+        assert records.cells.tolist() == positions
+        tally = np.bincount(positions, minlength=table.probs.size).tolist()
+        assert [c.count for c in hw.analyze(records, table).cells] == tally
 
     def test_deterministic_records(self, report_08_02):
         a = sample_from_table(report_08_02.table, 500, 123)
@@ -229,11 +239,20 @@ class TestAnalyze:
                 assert c.count == 0 and c.passed
 
     def test_hand_built_violation_flags_failure(self, report_08_02):
-        records = hw.ShotRecords(np.zeros(1, dtype=np.uint8), [("X1", "X2")], [(1, 1)])
+        records = hw.ShotRecords(np.zeros(1, dtype=np.uint8), report_08_02.table)
         report = hw.analyze(records, report_08_02.table)
         first = report.conditions[0]
         assert first.condition.label == "P(X1=+1, X2=+1)"
         assert first.count == 1 and first.passed is False
+
+    def test_records_of_a_table_with_other_outcomes_raise(self, report_08_02):
+        table = report_08_02.table
+        binary = hw.JointProbabilityTable(
+            table.party_settings, ((1, -1),) * 2, np.full((2, 2, 2, 2), 0.25)
+        )
+        records = sample_from_table(binary, 100, 1)
+        with pytest.raises(ValueError, match="other settings or outcomes"):
+            hw.analyze(records, table)
 
     def test_flagged_condition_passes_at_scale(self, report_08_02):
         records = sample_from_table(report_08_02.table, 100000, 42)
@@ -347,7 +366,7 @@ class TestRecords:
         assert peak < 16 * CHUNK
 
     def test_compare_across_schedules_in_bounded_memory(self, report_08_02):
-        """Equal records under different schedules compare one chunk at a time."""
+        """Equal records under different schedules compare equal, in bounded memory."""
         shots, pair = 3 * CHUNK + 1, ("X1", "X2")
         one = sample_from_table(report_08_02.table, shots, 6, [pair])
         two = sample_from_table(report_08_02.table, shots, 6, [pair, pair])
@@ -382,11 +401,13 @@ def _random_3x3_table():
 
 
 class TestPinnedRecords:
-    """CSV sha256 and every analyze cell count, pinned bit for bit.
+    """CSV sha256, every analyze cell count, and the cells' dtype and sha256,
+    pinned bit for bit.
 
     The second case repeats the (Y1, Y2) slot in a five-entry schedule and
     runs past two chunk edges, so chunked drawing, the slot phase across
-    chunks and the merging of repeated slots are all covered.
+    chunks and the counting of a setting pair drawn in two slots are all
+    covered.
     """
 
     PINNED = {
@@ -397,6 +418,7 @@ class TestPinnedRecords:
             "747bdfcb989ba7fd8f4f2d6dd781e7efeb24c5cda62e07f6dd96715a51ab413c",
             [0, 10094, 0, 10032, 4874, 0, 0, 0, 0, 6645, 3371, 0, 0, 14984, 0, 0, 0, 0,
              6661, 0, 0, 3374, 14965, 0, 0, 0, 0, 2265, 4362, 0, 4365, 14008, 0, 0, 0, 0],
+            "4c46d68ea368e98835cc4555ed636da3436b683176b981e1708cb9d84cc58005",
         ),
         "random_3x3_repeated_slot": (
             2 * CHUNK + 3,
@@ -405,14 +427,17 @@ class TestPinnedRecords:
             "4e8f4b5e50b9bae9ea28ecd811fb68f6533eccc48206daac576695e02073f50c",
             [0, 9489, 0, 9409, 7049, 0, 0, 0, 268, 5435, 4022, 0, 0, 16494, 0, 0, 0, 264,
              5350, 0, 0, 4029, 16549, 0, 0, 0, 287, 4514, 6200, 0, 6236, 34934, 0, 0, 0, 546],
+            "b555d193f24bff5cced4981486a904ea94a2b07ba1a58a944d1e7bacf4e7a4b8",
         ),
     }
 
     @pytest.mark.parametrize("name", list(PINNED))
     def test_bit_identical(self, name, report_08_02, tmp_path):
         table = report_08_02.table if name == "hardy_08_02_seed42" else _random_3x3_table()
-        shots, seed, schedule, digest, counts = self.PINNED[name]
+        shots, seed, schedule, digest, counts, cells_digest = self.PINNED[name]
         records = sample_from_table(table, shots, seed, schedule)
+        assert records.cells.dtype == np.uint8
+        assert hashlib.sha256(records.cells.tobytes()).hexdigest() == cells_digest
         text = records_to_csv(records)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert [c.count for c in hw.analyze(records, table).cells] == counts
