@@ -209,13 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def mode_flags(p):
-        pair_flag(p)
-        p.add_argument(
-            "--zero-tol",
-            type=float,
-            default=None,
-            help=f"threshold for the five zero conditions (default {DEFAULT_ZERO_TOL:g})",
-        )
         p.add_argument("--mode", choices=("bipartite", "multipartite"), default="bipartite")
         p.add_argument("--peel-order", default=None,
                        help="multipartite: 1-based subsystems to peel, e.g. '3' or '4,3'")
@@ -227,10 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="build the test and report its conditions")
     common(p, needs_split=False)
+    pair_flag(p)
+    p.add_argument(
+        "--zero-tol",
+        type=float,
+        default=None,
+        help=f"threshold for the five zero conditions (default {DEFAULT_ZERO_TOL:g})",
+    )
     mode_flags(p)
 
     p = sub.add_parser("certify", help="decide local-model feasibility of the table")
     common(p, needs_split=False)
+    pair_flag(p)
     mode_flags(p)
     p.add_argument("--idealized", action="store_true",
                    help="bipartite: snap the five zero-condition entries to exact 0 first")
@@ -273,10 +274,7 @@ def _reject_unread_flags(args) -> None:
     mode = getattr(args, "mode", None)
     if mode is None:
         return
-    unread = MODE_ONLY_FLAGS["multipartite" if mode == "bipartite" else "bipartite"]
-    if args.command == "certify":
-        unread += ("zero_tol",)
-    for name in unread:
+    for name in MODE_ONLY_FLAGS["multipartite" if mode == "bipartite" else "bipartite"]:
         if getattr(args, name, None) not in (None, False):
             raise ValueError(
                 f"--{name.replace('_', '-')} does not apply to {args.command} in {mode} mode"

@@ -314,12 +314,10 @@ class TestModeFlags:
             ("witness", "multipartite", ["--pair", "0,1"]),
             ("certify", "bipartite", ["--peel-order", "1"]),
             ("certify", "bipartite", ["--exhaustive-orders"]),
-            ("certify", "bipartite", ["--zero-tol", "1e-6"]),
             ("certify", "multipartite", ["--split", "1|2,3"]),
             ("certify", "multipartite", ["--pair", "auto"]),
             ("certify", "multipartite", ["--allow-degenerate"]),
             ("certify", "multipartite", ["--idealized"]),
-            ("certify", "multipartite", ["--zero-tol", "1e-6"]),
         ],
     )
     def test_rejects_flags_its_mode_does_not_read(
@@ -332,6 +330,16 @@ class TestModeFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"does not apply to {command} in {mode} mode" in captured.err
+
+    @pytest.mark.parametrize("mode", ["bipartite", "multipartite"])
+    def test_certify_does_not_define_zero_tol(self, state_file, tri_file, mode, capsys):
+        where = ["--state", state_file, "--split", "1|2"] if mode == "bipartite" else [
+            "--state", tri_file
+        ]
+        assert main(["certify", *where, "--mode", mode, "--zero-tol", "1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --zero-tol 1e-6" in captured.err
 
     def test_accepts_flags_its_mode_reads(self, state_file, tri_file, capsys):
         assert main(["witness", "--state", state_file, "--split", "1|2", "--pair", "auto",

@@ -1,10 +1,14 @@
 """What the benchmark in ``perfbench/`` relies on, checked without running it.
 
 The CLI goldens pin the exit code and stdout sha256 of every command the
-benchmark's ``cli`` workload can issue; here each one is replayed in-process
-through ``cli.main``.  The tracer patches module and class attributes by name
-and reads them from ``owner.__dict__``, so each of its targets must be
-defined on its owner.  The benchmark re-checks every certificate with
+benchmark's ``cli`` workload can issue.  Each golden must be the digest of
+that command's text pin in ``cli_output_pins.json``; that is checked here
+without running the CLI, since ``test_cli_output_pins.py`` replays the pins
+and is the only replay of CLI output.  A change to a pinned benchmark output
+therefore also needs a new golden, which is a benchmark change.  The tracer
+patches module and class attributes by name and reads them from
+``owner.__dict__``, so each of its targets must be defined on its owner.
+The benchmark re-checks every certificate with
 ``reference.certificate_problems``, so what it reads from a certificate is
 checked here too.
 """
@@ -27,23 +31,35 @@ import workloads  # noqa: E402
 import hardywitness as hw  # noqa: E402
 from hardywitness import cli, lhv  # noqa: E402
 
+GOLDENS = json.loads(workloads.GOLDENS_PATH.read_text())
+PINS = json.loads(Path(__file__).with_name("cli_output_pins.json").read_text())
 
-def test_cli_goldens_replay_in_process(tmp_path, monkeypatch):
-    goldens = json.loads(workloads.GOLDENS_PATH.read_text())
-    commands = workloads.all_cli_commands()
-    assert sorted(" ".join(argv) for argv in commands) == sorted(goldens)
-    workloads.write_cli_state_files(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    mismatches = []
-    for argv in commands:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        golden = goldens[" ".join(argv)]
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        if (code, digest, err.getvalue()) != (golden["exit"], golden["sha256"], ""):
-            mismatches.append((" ".join(argv), code, err.getvalue()[:200]))
-    assert mismatches == []
+
+def goldens_off_their_pins(goldens, pins):
+    """Commands whose golden is not their text pin's exit code and stdout sha256, stderr empty."""
+    def as_golden(pin):
+        code, stdout, stderr = pin
+        return code, hashlib.sha256(stdout.encode()).hexdigest(), stderr
+
+    return [
+        command for command, golden in goldens.items()
+        if command not in pins or as_golden(pins[command]) != (golden["exit"], golden["sha256"], "")
+    ]
+
+
+def test_cli_goldens_are_digests_of_their_text_pins():
+    assert sorted(" ".join(argv) for argv in workloads.all_cli_commands()) == sorted(GOLDENS)
+    assert goldens_off_their_pins(GOLDENS, PINS) == []
+
+
+def test_goldens_check_names_a_moved_pin():
+    """One changed stdout character or exit code, on in-memory copies of the pins."""
+    command = next(iter(GOLDENS))
+    code, stdout, stderr = PINS[command]
+    mid = len(stdout) // 2
+    edited = stdout[:mid] + ("1" if stdout[mid] != "1" else "2") + stdout[mid + 1:]
+    for pin in ([code, edited, stderr], [code + 1, stdout, stderr]):
+        assert goldens_off_their_pins(GOLDENS, {**PINS, command: pin}) == [command]
 
 
 def test_tracer_targets_are_defined_on_their_owners():
