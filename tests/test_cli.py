@@ -305,19 +305,25 @@ class TestCertifyCommand:
 
 
 class TestModeFlags:
+    # Each case keeps its id "<command>-<mode>-flag<n>"; n = 6 and n = 11 were certify
+    # --zero-tol cases, now test_certify_does_not_define_zero_tol since certify has no
+    # such flag.
     @pytest.mark.parametrize(
         "command, mode, flag",
         [
-            ("witness", "bipartite", ["--peel-order", "1"]),
-            ("witness", "bipartite", ["--exhaustive-orders"]),
-            ("witness", "multipartite", ["--split", "1|2,3"]),
-            ("witness", "multipartite", ["--pair", "0,1"]),
-            ("certify", "bipartite", ["--peel-order", "1"]),
-            ("certify", "bipartite", ["--exhaustive-orders"]),
-            ("certify", "multipartite", ["--split", "1|2,3"]),
-            ("certify", "multipartite", ["--pair", "auto"]),
-            ("certify", "multipartite", ["--allow-degenerate"]),
-            ("certify", "multipartite", ["--idealized"]),
+            pytest.param(command, mode, flag, id=f"{command}-{mode}-flag{n}")
+            for n, (command, mode, flag) in [
+                (0, ("witness", "bipartite", ["--peel-order", "1"])),
+                (1, ("witness", "bipartite", ["--exhaustive-orders"])),
+                (2, ("witness", "multipartite", ["--split", "1|2,3"])),
+                (3, ("witness", "multipartite", ["--pair", "0,1"])),
+                (4, ("certify", "bipartite", ["--peel-order", "1"])),
+                (5, ("certify", "bipartite", ["--exhaustive-orders"])),
+                (7, ("certify", "multipartite", ["--split", "1|2,3"])),
+                (8, ("certify", "multipartite", ["--pair", "auto"])),
+                (9, ("certify", "multipartite", ["--allow-degenerate"])),
+                (10, ("certify", "multipartite", ["--idealized"])),
+            ]
         ],
     )
     def test_rejects_flags_its_mode_does_not_read(
