@@ -63,15 +63,14 @@ from .states import (
 # The layers that load on first use, each with the public names it owns.
 _DEFERRED = {
     "lhv": (
-        "ContradictionTrace",
         "DeterministicStrategy",
         "LhvCertificate",
         "StrategySpace",
         "certify",
         "enumerate_strategies",
         "idealized_table",
+        "paper_inequality",
         "strategies_for_table",
-        "verify_no_deterministic_model",
     ),
     "multipartite": (
         "MultipartiteWitness",

@@ -17,6 +17,10 @@ conditions on the outcomes of the peeled particles and runs the two-party
 argument on what remains.  ``certify`` therefore solves one small LP per
 slice over the remaining (core) parties' strategies and never forms the
 dense system of the whole table.
+
+The paper's set-theoretic argument is one such dual, with integer entries:
+P(Y1=+1, Y2=+1) <= P(X1=+1, X2=+1) + P(Y1=+1, X2=-1) + P(X1=-1, Y2=+1) +
+P(Y1=+1, X2=0) + P(X1=0, Y2=+1) on every slice; ``paper_inequality`` checks it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -40,6 +45,9 @@ from .hardy import (
 )
 from .simplex import FEAS_TOL, solve_equality_feasibility
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 STRATEGY_CAP = 10**6
 # Strategy-side dual slack allowed on a verified infeasibility certificate.
 DUAL_SLACK_TOL = 1e-12
@@ -47,8 +55,6 @@ DUAL_SLACK_TOL = 1e-12
 MIN_MARGIN = 1e-9
 # A feasible mixture must reproduce every table entry this well.
 MIXTURE_TOL = 1e-8
-# A flagged probability above this counts as positive.
-FLAGGED_VALUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ class LhvCertificate:
     strategies: StrategySpace
     weights: np.ndarray | None = None
     dual: np.ndarray | None = None
-    margin: float | None = None
+    margin: float | Fraction | None = None
     max_strategy_dot: float | None = None
 
     @property
@@ -153,9 +159,9 @@ def _constraint_system(table: JointProbabilityTable, space: StrategySpace):
     A strategy hits ``(choice, outcomes)`` when every party answers its own
     setting with its own outcome, so the matrix is the product over parties
     of one-hot (setting, outcome, local answer table) indicators, read from
-    the space's answer arrays without building any strategy.  ``certify``
+    the space's answer arrays without building any strategy.  ``_sliced``
     passes the core parties' rows of the one space it enumerates, so each
-    call builds one strategy space.
+    certificate builds one strategy space.
     """
     n = table.n_parties
     hits = np.ones((1,) * (3 * n))
@@ -168,6 +174,49 @@ def _constraint_system(table: JointProbabilityTable, space: StrategySpace):
     a = np.vstack([hits, np.ones(hits.shape[1])])
     b = np.append(table.probs.ravel(), 1.0)
     return a, b
+
+
+class _Slicing(NamedTuple):
+    """A table's slices, each fixing one outcome per single-setting party.
+
+    ``slices[s]`` and ``rows[s]`` hold the flat positions in ``probs`` and the
+    values of slice s's entries, in ``core_table``'s key order; ``a`` is its
+    constraint system over the core parties' rows of ``strategies``.
+    """
+
+    strategies: StrategySpace
+    single: list[int]
+    core: list[int]
+    slices: np.ndarray
+    rows: np.ndarray
+    core_table: JointProbabilityTable
+    a: np.ndarray
+
+    def lift(self, s: int, y: np.ndarray) -> np.ndarray:
+        """Slice s's dual ``y``, zero elsewhere; a last extra entry is the normalization's."""
+        dual = np.zeros(self.slices.size + 1)
+        dual[np.append(self.slices[s], -1)[: len(y)]] = y
+        return dual
+
+
+def _sliced(table: JointProbabilityTable) -> _Slicing:
+    if not np.isfinite(table.probs).all():
+        raise ValueError("cannot certify a table with a non-finite entry")
+    strategies = strategies_for_table(table)
+    n = table.n_parties
+    single = [p for p in range(n) if len(table.party_settings[p]) == 1]
+    core = [p for p in range(n) if p not in single]
+    positions = np.arange(table.probs.size).reshape(table.probs.shape)
+    positions = positions[tuple(0 if p in single else slice(None) for p in range(n))]
+    k = len(core)
+    slices = positions.transpose(
+        [k + p for p in single] + list(range(k)) + [k + p for p in core]
+    ).reshape(math.prod(len(table.party_outcomes[p]) for p in single), -1)
+    rows = table.probs.ravel()[slices]
+    axes = [tuple(axis[p] for p in core) for axis in (table.party_settings, table.party_outcomes)]
+    core_table = JointProbabilityTable(*axes, rows[0])
+    a, _ = _constraint_system(core_table, StrategySpace(strategies.answers[p] for p in core))
+    return _Slicing(strategies, single, core, slices, rows, core_table, a)
 
 
 def certify(table: JointProbabilityTable) -> LhvCertificate:
@@ -190,35 +239,15 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
     the solver (not the physics) broke.  A table with a non-finite entry
     raises ``ValueError`` before any LP is built.
     """
-    if not np.isfinite(table.probs).all():
-        raise ValueError("cannot certify a table with a non-finite entry")
-    strategies = strategies_for_table(table)
-    n = table.n_parties
-    single = [p for p in range(n) if len(table.party_settings[p]) == 1]
-    core = [p for p in range(n) if p not in single]
-    # slices[s] lists the flat positions of slice s's entries in probs, in
-    # the core table's key order (core setting axes, then core outcomes).
-    positions = np.arange(table.probs.size).reshape(table.probs.shape)
-    positions = positions[tuple(0 if p in single else slice(None) for p in range(n))]
-    k = len(core)
-    slices = positions.transpose(
-        [k + p for p in single] + list(range(k)) + [k + p for p in core]
-    ).reshape(math.prod(len(table.party_outcomes[p]) for p in single), -1)
-    rows = table.probs.ravel()[slices]
-    core_table = JointProbabilityTable(
-        tuple(table.party_settings[p] for p in core),
-        tuple(table.party_outcomes[p] for p in core),
-        rows[0],
-    )
-    a, b = _constraint_system(core_table, StrategySpace(strategies.answers[p] for p in core))
-    cone = a[:-1]
+    sliced = _sliced(table)
+    strategies, single, core, rows = sliced.strategies, sliced.single, sliced.core, sliced.rows
     if single:
         # A slice's total weight is its own mass, which its setting blocks
         # already fix (each column has one hit per block), so sliced LPs
         # drop the normalization row.
-        lp_rows, lp_rhs = cone, rows
+        lp_rows, lp_rhs = sliced.a[:-1], rows
     else:
-        lp_rows, lp_rhs = a, b[None, :]
+        lp_rows, lp_rhs = sliced.a, np.append(rows[0], 1.0)[None, :]
     solved, dual = [], None
     for s, rhs in enumerate(lp_rhs):
         result = solve_equality_feasibility(lp_rows, rhs)
@@ -226,12 +255,9 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
             solved.append(np.asarray(result.x))
             continue
         y = np.asarray(result.dual)
-        dual = np.zeros(table.probs.size + 1)
-        dual[slices[s]] = y[: slices.shape[1]]
-        if not single:
-            dual[-1] = y[-1]
+        dual = sliced.lift(s, y)
         max_dot = float((y @ lp_rows).max())
-        if len(slices) > 1:
+        if len(rows) > 1:
             max_dot = max(max_dot, 0.0)  # the other slices' strategies
         margin = float(y @ rhs)
         break
@@ -244,7 +270,7 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
         excess = float(rows[:, :block].sum()) - 1.0
         if abs(excess) > FEAS_TOL:
             dual = np.zeros(table.probs.size + 1)
-            dual[slices[:, :block]] = math.copysign(1.0, excess)
+            dual[sliced.slices[:, :block]] = math.copysign(1.0, excess)
             dual[-1] = -math.copysign(1.0, excess)
             max_dot, margin = 0.0, abs(excess)
     if dual is not None:
@@ -261,7 +287,7 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
         raise NumericalFailure(f"negative strategy weight {weights.min()!r}")
     weights = np.clip(weights, 0.0, None)
     weights = weights / weights.sum()
-    residual = float(np.max(np.abs(weights @ cone.T - rows)))
+    residual = float(np.max(np.abs(weights @ sliced.a[:-1].T - rows)))
     if residual > MIXTURE_TOL:
         raise NumericalFailure(f"feasible mixture misses the table by {residual!r}")
     # A single-setting party's answer table is its slice outcome.
@@ -270,82 +296,56 @@ def certify(table: JointProbabilityTable) -> LhvCertificate:
     return LhvCertificate(True, table, strategies, weights=weights)
 
 
-def idealized_table(table: JointProbabilityTable) -> JointProbabilityTable:
-    """Copy of a ``joint_table`` table with the five zero-condition entries snapped to 0."""
-    axes = (table.party_settings, table.party_outcomes)
-    if axes != ((SIDE1_SETTINGS, SIDE2_SETTINGS), (TERNARY_OUTCOMES, TERNARY_OUTCOMES)):
+def paper_inequality(table: JointProbabilityTable) -> LhvCertificate | None:
+    """The paper's inequality as an exact certificate of a construction table, or ``None``.
+
+    On each slice the integer dual is +1 on the flagged entry and -1 on the
+    five zero-condition entries; its ``int64`` dot with every core strategy
+    column must be at most 0, or ``NumericalFailure`` is raised.  A slice's
+    ``margin`` is its flagged entry minus its zero entries, summed exactly as
+    ``Fraction``s of the stored floats.  The first slice in C order whose
+    margin reaches ``MIN_MARGIN`` is certified, its dual lifted as in
+    ``certify``.  A table that is not construction-shaped raises ``ValueError``.
+    """
+    from fractions import Fraction  # loads decimal, which certify does without
+    _check_construction_axes(table, "the paper's inequality", peeled=True)
+    sliced = _sliced(table)
+    y = np.zeros(sliced.slices.shape[1], dtype=np.int64)
+    for cond, sign in [(FLAGGED_CONDITION, 1)] + [(c, -1) for c in ZERO_CONDITIONS]:
+        position = sliced.core_table.index(cond.settings, cond.outcomes)
+        y[np.ravel_multi_index(position, sliced.core_table.probs.shape)] = sign
+    max_dot = int((y @ sliced.a[:-1].astype(np.int64)).max())
+    if max_dot > 0:
+        raise NumericalFailure(f"the paper's inequality exceeds a strategy column by {max_dot}")
+    for s, row in enumerate(sliced.rows):
+        margin = sum(int(y[k]) * Fraction(row[k]) for k in np.flatnonzero(y))
+        if margin >= MIN_MARGIN:
+            return LhvCertificate(
+                False, table, sliced.strategies, dual=sliced.lift(s, y.astype(float)),
+                margin=margin, max_strategy_dot=float(max_dot),
+            )
+    return None
+
+
+def _check_construction_axes(table: JointProbabilityTable, needs: str, peeled: bool) -> None:
+    """Name the requirement in a ``ValueError`` unless the multi-setting parties are the
+    construction's two and the others, none unless ``peeled``, have one setting."""
+    core = [p for p, labels in enumerate(table.party_settings) if len(labels) > 1]
+    axes = tuple(tuple(a[p] for p in core) for a in (table.party_settings, table.party_outcomes))
+    construction = ((SIDE1_SETTINGS, SIDE2_SETTINGS), (TERNARY_OUTCOMES, TERNARY_OUTCOMES))
+    if axes != construction or (table.n_parties > 2 and not peeled):
         raise ValueError(
-            "idealizing needs a two-party construction table (settings X1, Y1 | X2, Y2; "
-            f"outcomes 1, -1, 0), got {table.n_parties} parties with settings "
+            f"{needs} needs a {'' if peeled else 'two-party '}construction table (settings "
+            f"X1, Y1 | X2, Y2; outcomes 1, -1, 0{'; one setting for each other party' * peeled}), "
+            f"got {table.n_parties} parties with settings "
             f"{table.party_settings} and outcomes {table.party_outcomes}"
         )
+
+
+def idealized_table(table: JointProbabilityTable) -> JointProbabilityTable:
+    """Copy of a ``joint_table`` table with the five zero-condition entries snapped to 0."""
+    _check_construction_axes(table, "idealizing", peeled=False)
     probs = table.probs.copy()
     for cond in ZERO_CONDITIONS:
         probs[table.index(cond.settings, cond.outcomes)] = 0.0
     return JointProbabilityTable(table.party_settings, table.party_outcomes, probs)
-
-
-@dataclass(frozen=True)
-class StrategyClassification:
-    strategy: DeterministicStrategy
-    targets_flagged: bool
-    violated: tuple[str, ...]
-    region: str  # "A": X1 != +1, "B": X2 != +1, "C": both +1
-
-
-@dataclass(frozen=True)
-class ContradictionTrace:
-    """Exhaustive check that no local strategy survives the zero conditions.
-
-    ``contradiction`` is true exactly when the flagged outcome is required to
-    have positive probability while every strategy producing it violates at
-    least one zero condition, i.e. when no local mixture can work.
-    """
-
-    flagged_value: float
-    rows: tuple[StrategyClassification, ...]
-
-    @property
-    def n_targeting(self) -> int:
-        """Strategies that produce the flagged outcome."""
-        return sum(row.targets_flagged for row in self.rows)
-
-    @property
-    def n_surviving_targeting(self) -> int:
-        """Strategies that produce the flagged outcome and violate no zero condition."""
-        return sum(row.targets_flagged and not row.violated for row in self.rows)
-
-    @property
-    def contradiction(self) -> bool:
-        return self.flagged_value > FLAGGED_VALUE_TOL and self.n_surviving_targeting == 0
-
-
-def verify_no_deterministic_model(flagged_value: float) -> ContradictionTrace:
-    """Check every two-party deterministic strategy against the Hardy conditions.
-
-    ``flagged_value`` is the probability the table gives the flagged outcome.
-    Each strategy assigning +1 to both flagged settings is reported together
-    with the zero condition it violates; strategies compatible with all five
-    zero conditions never produce the flagged outcome, so a required positive
-    flagged probability is a contradiction.
-    """
-    side_settings = (SIDE1_SETTINGS, SIDE2_SETTINGS)
-    strategies = enumerate_strategies(
-        [len(s) for s in side_settings], [TERNARY_OUTCOMES, TERNARY_OUTCOMES]
-    )
-    where = {s: (p, i) for p, labels in enumerate(side_settings) for i, s in enumerate(labels)}
-
-    def answers(strategy, settings, outcomes) -> bool:
-        """Whether ``strategy`` answers every one of ``settings`` with its outcome."""
-        return all(strategy.outcome(*where[s]) == o for s, o in zip(settings, outcomes))
-
-    rows = []
-    for strategy in strategies:
-        violated = tuple(
-            c.label for c in ZERO_CONDITIONS if answers(strategy, c.settings, c.outcomes)
-        )
-        targets = answers(strategy, FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes)
-        x1, x2 = (answers(strategy, (s,), (1,)) for s in ("X1", "X2"))
-        region = "C" if x1 and x2 else "B" if x1 else "A"
-        rows.append(StrategyClassification(strategy, targets, violated, region))
-    return ContradictionTrace(flagged_value, tuple(rows))

@@ -91,9 +91,11 @@ def test_criterion_4_lhv_impossibility(witness_suite):
             assert float(np.max(dots)) <= 1e-12
             b = np.array([report.table.entries[k] for k in keys] + [1.0])
             assert float(cert.dual @ b) > 1e-9
-            trace = hw.verify_no_deterministic_model(report.hardy_measured)
-            assert trace.contradiction
-            assert trace.n_surviving_targeting == 0
+            # the paper's own inequality, against the same independent columns
+            paper = hw.paper_inequality(report.table)
+            assert paper is not None
+            assert float(np.max(paper.dual @ a)) == 0.0
+            assert float(paper.dual @ b) > 1e-9
         assert time.perf_counter() - started < 10.0
 
 

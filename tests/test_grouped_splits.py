@@ -50,10 +50,12 @@ def test_product_states_are_always_feasible():
         table = hw.joint_table(product, report.construction)
         cert = hw.certify(table)
         assert cert.feasible
+        assert hw.paper_inequality(table) is None
 
 
 def test_idealized_agreement_across_suite(witness_suite):
     for _, report in witness_suite[:10]:
-        trace = hw.verify_no_deterministic_model(report.hardy_measured)
-        cert = hw.certify(hw.idealized_table(report.table))
-        assert trace.contradiction == (not cert.feasible)
+        ideal = hw.idealized_table(report.table)
+        paper = hw.paper_inequality(ideal)
+        assert (paper is not None) == (not hw.certify(ideal).feasible) == True  # noqa: E712
+        assert paper.margin == report.hardy_measured

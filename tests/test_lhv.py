@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import math
-from fractions import Fraction
+import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from hardywitness.errors import TooLarge
 from hardywitness.hardy import (
     CLOSED_FORM_TOL,
     FLAGGED_CONDITION,
+    SIDE1_SETTINGS,
+    SIDE2_SETTINGS,
+    TERNARY_OUTCOMES,
     ZERO_CONDITIONS,
     JointProbabilityTable,
 )
@@ -29,6 +34,9 @@ from hardywitness.lhv import (
 )
 
 from conftest import random_state, random_unitary
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402
 
 SPLIT = hw.Bipartition((0,), (1,))
 
@@ -182,9 +190,11 @@ class TestOneEnumeration:
         monkeypatch.setattr(lhv, "DeterministicStrategy", _refuse_strategy)
         for table in tables:
             assert not hw.certify(table).feasible
+            assert hw.paper_inequality(table) is not None
 
     def test_certify_enumerates_once(self, report_08_02, tripartite_example, monkeypatch):
-        """One strategy space per certify: the core LP reads the table's space."""
+        """One strategy space per certificate, from certify and from paper_inequality:
+        the core columns read the table's space."""
         witness = hw.multipartite_witness(tripartite_example)
         tripartite = hw.multipartite_table(tripartite_example, witness)
         calls = []
@@ -192,10 +202,12 @@ class TestOneEnumeration:
         monkeypatch.setattr(
             lhv, "enumerate_strategies", lambda *a: calls.append(a) or enumerate_strategies(*a)
         )
-        hw.certify(report_08_02.table)
-        assert len(calls) == 1
-        hw.certify(tripartite)
-        assert len(calls) == 2
+        for certificate in (hw.certify, hw.paper_inequality):
+            calls.clear()
+            certificate(report_08_02.table)
+            assert len(calls) == 1
+            certificate(tripartite)
+            assert len(calls) == 2
 
 
 def _bell_degenerate_table():
@@ -538,67 +550,63 @@ class TestCertifySlices:
         assert peak < 2**20
 
 
+def _entry_row(table, cond):
+    """Row of ``cond``'s entry in the table's constraint system."""
+    return np.ravel_multi_index(table.index(cond.settings, cond.outcomes), table.probs.shape)
+
+
 class TestContradictionTrace:
+    """The paper's contradiction read off the two-party strategy columns."""
+
     def test_all_plus_violates_first_condition(self, report_08_02):
-        trace = hw.verify_no_deterministic_model(report_08_02.hardy_measured)
-        by_assignment = {r.strategy.assignments: r for r in trace.rows}
-        # X1=+1, Y1=+1, X2=+1, Y2=+1
-        row = by_assignment[((1, 1), (1, 1))]
-        assert ZERO_CONDITIONS[0].label in row.violated
-        assert row.region == "C"
-        # X1=+1, Y1=+1, X2=-1, Y2=+1
-        row = by_assignment[((1, 1), (-1, 1))]
-        assert ZERO_CONDITIONS[1].label in row.violated
-        assert row.region == "B"
+        table = report_08_02.table
+        strategies = hw.strategies_for_table(table)
+        a, _ = _constraint_system(table, strategies)
+        cert = hw.paper_inequality(table)
+        dots = cert.dual @ a
+        flagged = _entry_row(table, FLAGGED_CONDITION)
+        # X1=+1, Y1=+1, X2=+1, Y2=+1, then X1=+1, Y1=+1, X2=-1, Y2=+1
+        for assignments, cond in [
+            (((1, 1), (1, 1)), ZERO_CONDITIONS[0]),
+            (((1, 1), (-1, 1)), ZERO_CONDITIONS[1]),
+        ]:
+            k = [s.assignments for s in strategies].index(assignments)
+            assert a[flagged, k] == a[_entry_row(table, cond), k] == 1.0
+            assert dots[k] == 0.0
 
     def test_every_targeting_strategy_violated(self, report_08_02):
-        trace = hw.verify_no_deterministic_model(report_08_02.hardy_measured)
-        assert trace.contradiction
-        assert len(trace.rows) == 81
-        assert trace.n_targeting == 9
-        assert trace.n_surviving_targeting == 0
-        for row in trace.rows:
-            if row.targets_flagged:
-                assert row.violated
-
-    def test_regions_partition_strategies(self, report_08_02):
-        trace = hw.verify_no_deterministic_model(report_08_02.hardy_measured)
-        counts = {"A": 0, "B": 0, "C": 0}
-        for row in trace.rows:
-            counts[row.region] += 1
-        # X1 != +1: 2*3*3*3 = 54; X1 = +1, X2 != +1: 3*2*3*... = 18; rest 9
-        assert counts == {"A": 54, "B": 18, "C": 9}
+        table = report_08_02.table
+        a, _ = _constraint_system(table, hw.strategies_for_table(table))
+        cert = hw.paper_inequality(table)
+        assert cert.max_strategy_dot == 0.0
+        y = cert.dual[:-1].astype(np.int64)
+        assert np.array_equal(y, cert.dual[:-1])
+        dots = y @ a[:-1].astype(np.int64)
+        assert dots.shape == (81,) and dots.max() == 0
+        targeting = a[_entry_row(table, FLAGGED_CONDITION)] == 1.0
+        assert np.count_nonzero(targeting) == 9
+        # +1 from the flagged entry, so each of the 9 hits a zero condition
+        zeros = [_entry_row(table, c) for c in ZERO_CONDITIONS]
+        assert (a[zeros][:, targeting].sum(axis=0) >= 1).all()
 
     def test_no_contradiction_when_flagged_value_zero(self):
-        bell = hw.make_state([2, 2], [1, 0, 0, 1])
-        d = hw.schmidt_decompose(bell, SPLIT)
-        con = hw.build_construction(d, (0, 1), allow_degenerate=True)
-        table = hw.joint_table(bell, con)
-        flagged_value = table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes)
-        trace = hw.verify_no_deterministic_model(flagged_value)
-        assert not trace.contradiction
-        assert trace.n_surviving_targeting == 0  # the logic is state-independent
+        table = _bell_degenerate_table()
+        assert table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes) < MIN_MARGIN
+        assert hw.paper_inequality(table) is None
 
 
 class TestIdealizedAgreement:
     def test_agreement_on_applicable_state(self, report_08_02):
-        trace = hw.verify_no_deterministic_model(report_08_02.hardy_measured)
         ideal = hw.idealized_table(report_08_02.table)
         for cond in ZERO_CONDITIONS:
             assert ideal.prob(cond.settings, cond.outcomes) == 0.0
-        cert = hw.certify(ideal)
-        assert trace.contradiction == (not cert.feasible) == True  # noqa: E712
+        assert hw.paper_inequality(ideal) is not None
+        assert not hw.certify(ideal).feasible
 
     def test_agreement_on_degenerate_case(self):
-        bell = hw.make_state([2, 2], [1, 0, 0, 1])
-        d = hw.schmidt_decompose(bell, SPLIT)
-        con = hw.build_construction(d, (0, 1), allow_degenerate=True)
-        table = hw.joint_table(bell, con)
-        flagged_value = table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes)
-        trace = hw.verify_no_deterministic_model(flagged_value)
-        cert = hw.certify(hw.idealized_table(table))
-        assert trace.contradiction == (not cert.feasible) == False  # noqa: E712
-
+        ideal = hw.idealized_table(_bell_degenerate_table())
+        assert hw.paper_inequality(ideal) is None
+        assert hw.certify(ideal).feasible
 
     def test_multipartite_table_rejected_with_a_named_requirement(self, tripartite_example):
         # used to fail inside JointProbabilityTable.index: "tuple.index(x): x not in tuple"
@@ -608,6 +616,15 @@ class TestIdealizedAgreement:
         with pytest.raises(ValueError, match="idealizing needs a two-party construction "
                            r"table .*, got 3 parties with settings"):
             hw.idealized_table(table)
+
+    def test_paper_inequality_names_the_same_requirement(self, report_08_02):
+        two = report_08_02.table
+        swapped = _permuted(two, (1, 0))  # X2, Y2 | X1, Y1
+        other = JointProbabilityTable((("A", "B"), ("C",)), ((1, 0), (1, 0)), [0.25] * 8)
+        for table in (swapped, other):
+            with pytest.raises(ValueError, match="the paper's inequality needs a construction "
+                               r"table \(.*; one setting for each other party\), got 2 parties"):
+                hw.paper_inequality(table)
 
 
 def _prescribed_weights_table(d):
@@ -644,6 +661,25 @@ def _paper_cases():
 PAPER_CASES = _paper_cases()
 
 
+def _paper_certificate(table):
+    """``paper_inequality``'s certificate, re-verified exactly against the whole table.
+
+    Its dual must be an integer vector with no normalization component, whose
+    ``int64`` dot with every 0/1 strategy column of the table is at most 0.
+    """
+    cert = hw.paper_inequality(table)
+    assert cert is not None and not cert.feasible
+    a, _ = _constraint_system(table, hw.strategies_for_table(table))
+    columns = a[:-1].astype(np.int64)
+    assert np.array_equal(columns, a[:-1])  # 0/1 columns, exactly
+    y = cert.dual[:-1].astype(np.int64)
+    assert np.array_equal(y, cert.dual[:-1]) and cert.dual[-1] == 0.0
+    assert sorted(y[y != 0]) == [-1] * 5 + [1]
+    assert (y @ columns).max() == cert.max_strategy_dot == 0
+    assert isinstance(cert.margin, Fraction) and cert.margin >= MIN_MARGIN
+    return cert
+
+
 class TestPaperInequality:
     """The paper's argument as an exact Farkas vector on each construction table.
 
@@ -654,27 +690,80 @@ class TestPaperInequality:
     on the table is the flagged probability minus the zero entries.
     """
 
-    @pytest.mark.parametrize("name", list(PAPER_CASES) + ["tripartite_2_45"])
-    def test_exact_inequality_and_margin(self, name, tripartite_example):
+    @pytest.mark.parametrize("name", list(PAPER_CASES) + ["tripartite_2_45", "idealized_08_02"])
+    def test_exact_inequality_and_margin(self, name, tripartite_example, report_08_02):
         if name == "tripartite_2_45":
             table, expected, marked = _multipartite_case(tripartite_example)
+        elif name == "idealized_08_02":
+            table = hw.idealized_table(report_08_02.table)
+            expected, marked = report_08_02.hardy_closed_form, ()
         else:
             table, expected, marked = PAPER_CASES[name]()
-        peeled = tuple(labels[0] for labels in table.party_settings[2:])
-        assert len(peeled) == len(marked)
-        y = np.zeros(table.probs.size, dtype=np.int64)
-        entries = []
-        for c, sign in [(FLAGGED_CONDITION, 1)] + [(c, -1) for c in ZERO_CONDITIONS]:
-            k = np.ravel_multi_index(
-                table.index(c.settings + peeled, c.outcomes + marked), table.probs.shape
-            )
-            y[k] = sign
-            entries.append((sign, float(table.probs.ravel()[k])))
-        a, _ = _constraint_system(table, hw.strategies_for_table(table))
-        columns = a[:-1].astype(np.int64)
-        assert np.array_equal(columns, a[:-1])  # 0/1 columns, exactly
-        assert (y @ columns).max() <= 0
-        margin = sum(sign * Fraction(x) for sign, x in entries)
-        assert margin > 0
-        assert abs(margin - Fraction(expected)) <= CLOSED_FORM_TOL
+        cert = _paper_certificate(table)
+        if name == "idealized_08_02":  # zero entries exactly 0: the margin is the flagged entry
+            flagged = table.prob(FLAGGED_CONDITION.settings, FLAGGED_CONDITION.outcomes)
+            assert cert.margin == Fraction(flagged)
+        # the dual weighs the slice of the peeled parties' marked outcomes
+        y = cert.dual[:-1].reshape(table.probs.shape)
+        assert {tuple(k[table.n_parties + 2:]) for k in np.argwhere(y)} == {
+            tuple(table.party_outcomes[p].index(o) for p, o in enumerate(marked, 2))
+        }
+        assert abs(cert.margin - Fraction(expected)) <= CLOSED_FORM_TOL
+        assert not hw.certify(table).feasible
+
+    @pytest.mark.parametrize("name", list(PAPER_CASES))
+    def test_reference_accepts_the_certificate(self, name):
+        table, _, _ = PAPER_CASES[name]()
+        assert reference.farkas_problems(table, hw.paper_inequality(table)) == []
+
+    def test_margin_against_the_lp_dual(self, report_08_02):
+        """The README's figures: 4/45 minus the zeros, a tenth of the LP dual's margin."""
+        assert round(float(hw.paper_inequality(report_08_02.table).margin), 4) == 0.0889
+        assert round(hw.certify(report_08_02.table).margin, 3) == 0.889
+
+
+@st.composite
+def construction_tables(draw):
+    """Nonnegative tables with the construction's two parties and 0-2 one-setting parties."""
+    extra = draw(st.lists(st.sampled_from([(1, 0), (1, 2, 0)]), max_size=2))
+    peeled = tuple((f"T{k}",) for k in range(3, 3 + len(extra)))
+    settings = (SIDE1_SETTINGS, SIDE2_SETTINGS) + peeled
+    outcomes = (TERNARY_OUTCOMES, TERNARY_OUTCOMES) + tuple(extra)
+    size = 36 * math.prod(len(o) for o in extra)
+    entry = st.floats(0.0, 1.0) | st.just(0.0)
+    table = JointProbabilityTable(
+        settings, outcomes, draw(st.lists(entry, min_size=size, max_size=size))
+    )
+    if not draw(st.booleans()):
+        return table
+    # the zero conditions met exactly on every slice
+    probs, core = table.probs.copy(), JointProbabilityTable(settings[:2], outcomes[:2], [0] * 36)
+    for cond in ZERO_CONDITIONS:
+        i = core.index(cond.settings, cond.outcomes)
+        probs[i[:2] + (0,) * len(extra) + i[2:]] = 0.0
+    return JointProbabilityTable(settings, outcomes, probs)
+
+
+class TestPaperInequalityProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(construction_tables())
+    def test_dual_never_exceeds_a_strategy_column(self, table):
+        """Certified or not, the check passes: with a certificate, the lifted
+        dual dots at most 0 with every full strategy column, in ``int64``."""
+        cert = hw.paper_inequality(table)
+        if cert is not None:
+            _paper_certificate(table)
+            single = [p for p, labels in enumerate(table.party_settings) if len(labels) == 1]
+            weighed = {
+                tuple(outcomes[p] for p in single)
+                for (_, outcomes), y in zip(cert.entry_keys, cert.dual[:-1])
+                if y != 0.0
+            }
+            assert len(weighed) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(construction_tables())
+    def test_a_clear_margin_means_no_local_model(self, table):
+        cert = hw.paper_inequality(table)
+        assume(cert is not None and cert.margin >= 1e-6)
         assert not hw.certify(table).feasible
