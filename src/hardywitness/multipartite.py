@@ -48,9 +48,11 @@ Each table (and each witness's condition values) builds its measurement
 chain once: every party's single-subsystem split and its setting-to-observable
 map.  One depth-first walk over the chain fills the table: each prefix of
 (setting, outcome) choices is projected once, and the last party, a peeled
-one with a single setting, gets outcome probabilities only, with no residual
-state.  The 288 entries of a 5-qubit table take 126 state projections and 128
-probability-only evaluations instead of 864 projections.
+one with a single setting, gets outcome probabilities only, with no residual.
+The 288 entries of a 5-qubit table take 126 residual-carrying projections and
+128 probability-only evaluations instead of 864 projections.  Each residual
+stays the coefficient matrix of the party just projected, and one transposed
+copy makes it the next party's, with no state vector rebuilt in between.
 """
 
 from __future__ import annotations
@@ -82,9 +84,13 @@ from .hardy import (
     make_witness_report,
 )
 from .schmidt import schmidt_decompose, schmidt_weights
+# apply_local_projector and apply_local_complement are unused here: perfbench/tracing.py
+# patches them.
 from .states import (
+    PROJECTION_FLOOR,
     Bipartition,
     StateVector,
+    _check_side_vector,
     apply_local_complement,
     apply_local_projector,
     complement_side1,
@@ -330,44 +336,69 @@ def _chain_probabilities(v: StateVector, chain, party_settings, party_outcomes) 
     vectors.  Projectors on distinct subsystems commute, so the chain rule
     over normalized residuals applies.  A prefix whose probability is at
     ``PROJECTION_FLOOR`` leaves no residual, and its whole sub-block gets its
-    running product.  The last party (a peeled one, with a single setting) is
-    reshaped once per prefix and only its outcome probabilities are
-    computed.  Each entry gets the float operations of its own chain, in the
-    same order.
+    running product.  The last party (a peeled one, with a single setting)
+    gets only its outcome probabilities.
+
+    Each node holds its state as the C-contiguous coefficient matrix of the
+    party it projects: that party's subsystem first, the others in ascending
+    order, as :func:`reshape_bipartite` lays out the party's split.  A
+    residual becomes the next party's matrix by one transposed copy, whose
+    axis order is computed once per depth, and each party's checked
+    projector vectors are looked up once per call.  Each entry gets the
+    float operations of its own chain, in the same order and on operands
+    with the same layout as :func:`apply_local_projector` and
+    :func:`apply_local_complement` give it.
     """
     n = len(chain)
     probs = np.empty([len(s) for s in party_settings] + [len(o) for o in party_outcomes])
     # the walk's axis order: (setting, outcome) of party 1, of party 2, ...
     walk = probs.transpose([a for k in range(n) for a in (k, n + k)])
-    last_split, last_observables = chain[-1]
-    (last_setting,) = party_settings[-1]
-    last = last_observables[last_setting]
-
-    def visit(state: StateVector, depth: int, total: float, index: tuple[int, ...]) -> None:
-        if depth == n - 1:
-            m = reshape_bipartite(state, last_split)
-            for j, outcome in enumerate(party_outcomes[-1]):
-                if outcome == 0:
-                    prob = complement_side1(m, last.marked_vectors())[0]
-                else:
-                    prob = project_side1(m, last.vector(outcome))[0]
-                walk[index + (0, j)] = total * prob
-            return
-        split, observables = chain[depth]
-        for i, setting in enumerate(party_settings[depth]):
+    layouts = [split.side1 + split.side2 for split, _ in chain]
+    shapes = [tuple(v.dims[k] for k in layout) for layout in layouts]
+    moves = [tuple(map(prev.index, layout)) for prev, layout in zip(layouts, layouts[1:])]
+    projectors = []
+    for (_, observables), settings, outcomes, shape in zip(
+        chain, party_settings, party_outcomes, shapes
+    ):
+        party = []
+        for i, setting in enumerate(settings):
             obs = observables[setting]
-            for j, outcome in enumerate(party_outcomes[depth]):
+            for j, outcome in enumerate(outcomes):
                 if outcome == 0:
-                    prob, residual = apply_local_complement(state, split, obs.marked_vectors())
+                    u = [_check_side_vector(x, shape[0]) for x in obs.marked_vectors()]
+                    party.append((i, j, complement_side1, u))
                 else:
-                    prob, residual = apply_local_projector(state, split, obs.vector(outcome))
-                if residual is None:
-                    walk[index + (i, j)] = total * prob
-                else:
-                    visit(residual, depth + 1, total * prob, index + (i, j))
+                    u = _check_side_vector(obs.vector(outcome), shape[0])
+                    party.append((i, j, project_side1, u))
+        projectors.append(party)
 
-    visit(v, 0, 1.0, ())
+    def visit(m: np.ndarray, depth: int, total: float, index: tuple[int, ...]) -> None:
+        if depth == n - 1:
+            for i, j, project, u in projectors[depth]:
+                walk[index + (i, j)] = total * project(m, u)[0]
+            return
+        for i, j, project, u in projectors[depth]:
+            prob, w = project(m, u)
+            if prob <= PROJECTION_FLOOR:
+                walk[index + (i, j)] = total * prob
+                continue
+            # a complement returns the residual itself, a projection its side-2 factor
+            residual = w if project is complement_side1 else u[:, None] * w
+            tensor = (residual / math.sqrt(prob)).reshape(shapes[depth]).transpose(moves[depth])
+            nxt = np.ascontiguousarray(tensor).reshape(shapes[depth + 1][0], -1)
+            visit(nxt, depth + 1, total * prob, index + (i, j))
+
+    visit(reshape_bipartite(v, chain[0][0]), 0, 1.0, ())
     return probs
+
+
+def _widened(cond: HardyCondition, steps: tuple[PeelStep, ...]) -> HardyCondition:
+    """``cond`` widened by every peeled party's marked outcome."""
+    return HardyCondition(
+        cond.settings + tuple(s.observable.label for s in steps),
+        cond.outcomes + tuple(s.marked_eigenvalue for s in steps),
+        cond.expect_zero,
+    )
 
 
 def _evaluate_conditions(
@@ -380,12 +411,8 @@ def _evaluate_conditions(
     ``combined`` raises :class:`NumericalFailure`.
     """
     values = []
-    t_settings = tuple(s.observable.label for s in steps)
-    t_outcomes = tuple(s.marked_eigenvalue for s in steps)
     for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
-        joint = HardyCondition(
-            cond.settings + t_settings, cond.outcomes + t_outcomes, cond.expect_zero
-        )
+        joint = _widened(cond, steps)
         measured = _chain_probabilities(
             v, chain, [(s,) for s in joint.settings], [(o,) for o in joint.outcomes]
         ).item()
@@ -487,16 +514,13 @@ def multipartite_witness(
     )
 
 
-def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointProbabilityTable:
-    """Joint probability table over the final pair plus every peeled observable.
+def _measured_table(v: StateVector, witness: MultipartiteWitness) -> JointProbabilityTable:
+    """The table of ``witness``'s observables measured on ``v``, unchecked.
 
-    Parties are ordered (final side 1, final side 2, peeled subsystems in
-    peel order).  Peeled parties have a single setting; their outcome 0 (the
-    complement of the branch vectors) appears only when the branch vectors do
-    not already span the subsystem.
+    ``v`` must have ``witness.dims`` but need not be the state the witness
+    was searched on: a product state measured this way gives a table that a
+    local model reproduces.
     """
-    if not witness.applicable:
-        raise ValueError("cannot tabulate a non-applicable witness")
     chain = _chain(
         len(v.dims), witness.final_report.construction, witness.final_subsystems, witness.steps
     )
@@ -508,6 +532,31 @@ def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointPro
             outcomes += (0,)
         party_outcomes.append(outcomes)
     probs = _chain_probabilities(v, chain, party_settings, party_outcomes)
-    table = JointProbabilityTable(party_settings, tuple(party_outcomes), probs)
+    return JointProbabilityTable(party_settings, tuple(party_outcomes), probs)
+
+
+def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointProbabilityTable:
+    """Joint probability table over the final pair plus every peeled observable.
+
+    Parties are ordered (final side 1, final side 2, peeled subsystems in
+    peel order).  Peeled parties have a single setting; their outcome 0 (the
+    complement of the branch vectors) appears only when the branch vectors do
+    not already span the subsystem.  ``witness`` must be ``v``'s own:
+    ``ValueError`` is raised before the walk when its dims differ from
+    ``v``'s, and after it when the flagged entry is more than
+    ``CLOSED_FORM_TOL`` from the witness's combined probability.
+    """
+    if not witness.applicable:
+        raise ValueError("cannot tabulate a non-applicable witness")
+    if witness.dims != v.dims:
+        raise ValueError(f"a witness for dims {witness.dims} cannot tabulate dims {v.dims}")
+    table = _measured_table(v, witness)
+    flagged = _widened(FLAGGED_CONDITION, witness.steps)
+    value = table.prob(flagged.settings, flagged.outcomes)
+    if abs(value - witness.combined_probability) > CLOSED_FORM_TOL:
+        raise ValueError(
+            f"flagged entry {flagged.label} is {value!r}, not the witness's combined "
+            f"probability {witness.combined_probability!r}: the witness is for another state"
+        )
     table.check()
     return table

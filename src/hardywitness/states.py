@@ -143,28 +143,29 @@ def _check_side_vector(u, expected: int) -> np.ndarray:
     return u
 
 
-def project_side1(m: np.ndarray, basis_vector) -> tuple[float, np.ndarray, np.ndarray]:
+def project_side1(m: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
     """Project the rows (side 1) of coefficient matrix ``m`` onto a unit vector.
 
-    Returns ``(probability, u, w)``: ``u`` is the checked complex vector and
-    ``w`` the unnormalized side-2 state given the outcome.
+    ``u`` is a checked complex vector of length ``m.shape[0]`` (the public
+    :func:`apply_local_projector` checks it).  Returns ``(probability, w)``
+    with ``w`` the unnormalized side-2 state given the outcome.
     """
-    u = _check_side_vector(basis_vector, m.shape[0])
     w = u.conj() @ m
-    return float(np.vdot(w, w).real), u, w
+    return float(np.vdot(w, w).real), w
 
 
 def complement_side1(m: np.ndarray, basis_vectors) -> tuple[float, np.ndarray]:
     """Project the rows of ``m`` onto the orthogonal complement of unit vectors.
 
-    Returns ``(probability, residual)`` with the residual matrix unnormalized.
-    The complement projector is applied implicitly (never materialized), so
-    the cost stays linear in the total dimension.
+    ``basis_vectors`` are checked complex vectors of length ``m.shape[0]``
+    (the public :func:`apply_local_complement` checks them).  Returns
+    ``(probability, residual)`` with the residual matrix unnormalized.  The
+    complement projector is applied implicitly (never materialized), so the
+    cost stays linear in the total dimension.
     """
     residual = m.copy()
     for u in basis_vectors:
-        u = _check_side_vector(u, m.shape[0])
-        residual -= np.outer(u, u.conj() @ m)
+        residual -= u[:, None] * (u.conj() @ m)
     return float(np.linalg.norm(residual) ** 2), residual
 
 
@@ -177,10 +178,12 @@ def apply_local_projector(
     post-projection state, or ``None`` when the probability is at the noise
     floor.  To project side 2, pass ``split.swapped()``.
     """
-    prob, u, w = project_side1(reshape_bipartite(v, split), basis_vector)
+    m = reshape_bipartite(v, split)
+    u = _check_side_vector(basis_vector, m.shape[0])
+    prob, w = project_side1(m, u)
     if prob <= PROJECTION_FLOOR:
         return prob, None
-    return prob, matrix_to_state(np.outer(u, w) / math.sqrt(prob), split, v.dims)
+    return prob, matrix_to_state(u[:, None] * w / math.sqrt(prob), split, v.dims)
 
 
 def apply_local_complement(
@@ -190,7 +193,9 @@ def apply_local_complement(
 
     Returns ``(probability, residual)`` as :func:`apply_local_projector` does.
     """
-    prob, residual = complement_side1(reshape_bipartite(v, split), basis_vectors)
+    m = reshape_bipartite(v, split)
+    vectors = [_check_side_vector(u, m.shape[0]) for u in basis_vectors]
+    prob, residual = complement_side1(m, vectors)
     if prob <= PROJECTION_FLOOR:
         return prob, None
     return prob, matrix_to_state(residual / math.sqrt(prob), split, v.dims)

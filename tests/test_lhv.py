@@ -32,6 +32,7 @@ from hardywitness.lhv import (
     STRATEGY_CAP,
     _constraint_system,
 )
+from hardywitness.multipartite import _measured_table
 
 from conftest import random_state, random_unitary
 
@@ -354,7 +355,7 @@ class TestCertifyMultipartite:
     def test_product_statistics_feasible(self, tripartite_example):
         w = hw.multipartite_witness(tripartite_example)
         product = hw.basis_state([3, 3, 2], (0, 1, 0))
-        table = hw.multipartite_table(product, w)
+        table = _measured_table(product, w)
         cert = hw.certify(table)
         assert cert.feasible
 
@@ -392,7 +393,7 @@ def _sliced_tables():
         assert w.applicable
         cases.append((f"{dims}", hw.multipartite_table(v, w)))
         product = _random_product_state(rng, dims)
-        cases.append((f"{dims}-product", hw.multipartite_table(product, w)))
+        cases.append((f"{dims}-product", _measured_table(product, w)))
     _, table4 = cases[4]
     _, product4 = cases[5]
     cases.append(("[2, 2, 2, 2]-peeled-first", _permuted(table4, (3, 0, 2, 1))))

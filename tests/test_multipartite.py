@@ -293,6 +293,19 @@ class TestMultipartiteTable:
         with pytest.raises(ValueError):
             hw.multipartite_table(hw.ghz_state(3), w)
 
+    def test_rejects_a_witness_of_other_dims(self, tripartite_example):
+        w = hw.multipartite_witness(random_state(np.random.default_rng(104), (2, 2, 2)))
+        with pytest.raises(ValueError, match=r"dims \(2, 2, 2\) cannot tabulate dims \(3, 3, 2\)"):
+            hw.multipartite_table(tripartite_example, w)
+
+    def test_rejects_a_witness_of_another_state(self):
+        # the flagged entry of the other state would be 0.1709 against a
+        # combined probability of 0.01306, in a table that passes check()
+        w = hw.multipartite_witness(random_state(np.random.default_rng(104), (2, 2, 2)))
+        other = random_state(np.random.default_rng(3), (2, 2, 2))
+        with pytest.raises(ValueError, match="the witness is for another state"):
+            hw.multipartite_table(other, w)
+
 
 # --- the search against a per-order oracle, and its work counts ---
 
@@ -741,28 +754,51 @@ class TestTableSharedChain:
         self._assert_matches_per_entry(*qubits5)
 
     def test_each_prefix_projected_once(self, monkeypatch, qubits5):
-        from hardywitness import multipartite as mp
-
-        calls = {"state": 0, "probability": 0}
-        for name, kind in (
-            ("apply_local_projector", "state"),
-            ("apply_local_complement", "state"),
-            ("project_side1", "probability"),
-            ("complement_side1", "probability"),
-        ):
-            def counted(*args, _fn=getattr(mp, name), _kind=kind, **kwargs):
-                calls[_kind] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(mp, name, counted)
-        table = hw.multipartite_table(*qubits5)
+        table, calls = _walk_calls(monkeypatch, *qubits5)
         assert table.probs.size == 288
         # the distinct prefixes of the first four parties are 6 + 24 + 32 +
         # 64: a qubit's outcome 0 (the complement of both of its vectors) has
         # probability 0 and ends the chain after the first or second party.
         # The last party's 64 x 2 outcomes are probabilities only, with no
         # residual state.  One chain per entry takes 864 projections.
-        assert calls == {"state": 126, "probability": 128}
+        assert sum(not last for last, _, _ in calls) == 126
+        assert sum(last for last, _, _ in calls) == 128
+
+    @pytest.mark.parametrize(
+        "seed, dims, exhaustive",
+        [(6, (2,) * 6, False), (8, (2,) * 8, False), (5, (3, 2, 3, 2, 2), True)],
+        ids=["6-qubits", "8-qubits", "32322-exhaustive"],
+    )
+    def test_longer_chains(self, seed, dims, exhaustive):
+        # each residual is transposed from one peeled party's layout to the next's
+        v = random_state(np.random.default_rng(seed), dims)
+        self._assert_matches_per_entry(v, hw.multipartite_witness(v, exhaustive=exhaustive))
+
+
+def _walk_calls(monkeypatch, v, w):
+    """The table of ``w`` on ``v`` and the walk's calls to its two primitives.
+
+    Each call of ``project_side1`` or ``complement_side1`` is recorded as
+    ``(on the last party, primitive name, probability)``.  A call is on the
+    last party when its vector is one of that party's marked vectors; every
+    other call carries a residual unless its probability is at the
+    projection floor.
+    """
+    from hardywitness import multipartite as mp
+
+    last = w.steps[-1].observable.marked_vectors()
+    calls = []
+    for name in ("project_side1", "complement_side1"):
+        def counted(m, u, _fn=getattr(mp, name), _name=name):
+            result = _fn(m, u)
+            first = u[0] if _name == "complement_side1" else u
+            calls.append((any(np.array_equal(first, x) for x in last), _name, result[0]))
+            return result
+
+        monkeypatch.setattr(mp, name, counted)
+    table = hw.multipartite_table(v, w)
+    monkeypatch.undo()
+    return table, calls
 
 
 # --- the table walk against one chain per entry, on drawn chains ---
@@ -845,28 +881,16 @@ class TestTableWalkMatchesOracle:
 
     def _walk_counts(self, monkeypatch, v, order):
         """The table, its witness, and the walk's floor hits and last-party complements."""
-        from hardywitness import multipartite as mp
-
         w = hw.multipartite_witness(v, order)
         assert w.applicable
-        calls = {"floor": 0, "last_complement": 0}
-        for name in ("apply_local_projector", "apply_local_complement"):
-            def counted(*args, _fn=getattr(mp, name), **kwargs):
-                prob, residual = _fn(*args, **kwargs)
-                calls["floor"] += residual is None
-                return prob, residual
-
-            monkeypatch.setattr(mp, name, counted)
-
-        def last_complement(*args, _fn=mp.complement_side1, **kwargs):
-            calls["last_complement"] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "complement_side1", last_complement)
-        table = hw.multipartite_table(v, w)
-        monkeypatch.undo()
+        table, calls = _walk_calls(monkeypatch, v, w)
         _assert_walk_matches_oracle(v, w, table)
-        return table, calls
+        return table, {
+            "floor": sum(not last and prob <= PROJECTION_FLOOR for last, _, prob in calls),
+            "last_complement": sum(
+                last and name == "complement_side1" for last, name, _ in calls
+            ),
+        }
 
     def test_rank_two_qutrit_peel_fills_at_the_floor(self, monkeypatch):
         # qutrit 3 is peeled first and has rank 2, so every prefix through its

@@ -30,6 +30,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 import hardywitness as hw  # noqa: E402
 from hardywitness import cli, lhv  # noqa: E402
+from hardywitness.multipartite import _measured_table  # noqa: E402
 
 GOLDENS = json.loads(workloads.GOLDENS_PATH.read_text())
 PINS = json.loads(Path(__file__).with_name("cli_output_pins.json").read_text())
@@ -133,7 +134,7 @@ def test_reference_accepts_the_certificates_it_re_checks():
         (report.table, report.hardy_measured, False),
         (hw.joint_table(bell, construction), 0.0, True),
         (hw.multipartite_table(tri, w), w.combined_probability, False),
-        (hw.multipartite_table(hw.basis_state([3, 3, 2], (0, 2, 0)), w), 0.0, True),
+        (_measured_table(hw.basis_state([3, 3, 2], (0, 2, 0)), w), 0.0, True),
     ]
     for table, flagged, feasible in cases:
         cert = lhv.certify(table)
