@@ -115,14 +115,17 @@ def distinct_weight_pairs(
     Schmidt term, or all weights equal within ``eps_deg``).
     """
     _check_tolerances(eps_deg=eps_deg)
-    rank = len(weights)
+    # Python floats do the same IEEE arithmetic as numpy scalars, at a
+    # fraction of the cost per operation.
+    w = [float(x) for x in weights]
+    rank = len(w)
     pairs = [
         (i, j)
         for i in range(rank)
         for j in range(i + 1, rank)
-        if abs(weights[i] - weights[j]) > eps_deg
+        if abs(w[i] - w[j]) > eps_deg
     ]
-    pairs.sort(key=lambda ij: -hardy_probability(weights[ij[0]], weights[ij[1]]))
+    pairs.sort(key=lambda ij: -hardy_probability(w[ij[0]], w[ij[1]]))
     return pairs
 
 

@@ -47,6 +47,22 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     flat = buf.view(np.float64).reshape(-1)
     diag_re = flat[0 : 2 * n * n : 2 * (n + 1)]
     diag_im = flat[1 : 2 * n * n : 2 * (n + 1)]
+    # A rotation's coefficients live in 0-d complex arrays and its products
+    # in scratch vectors, all allocated once per call: a ufunc given a
+    # Python scalar converts it to an array, and an operator allocates its
+    # result, on every call.  A 0-d complex128 operand takes the same loop
+    # as the Python scalar it replaces, so the bits do not move.
+    k_c = np.zeros((), dtype=np.complex128)
+    k_col_q = np.zeros((), dtype=np.complex128)
+    k_col_p = np.zeros((), dtype=np.complex128)
+    k_row_q = np.zeros((), dtype=np.complex128)
+    k_row_p = np.zeros((), dtype=np.complex128)
+    col_t = np.empty(2 * n, dtype=np.complex128)
+    col_u = np.empty(2 * n, dtype=np.complex128)
+    row_t = np.empty(n, dtype=np.complex128)
+    row_u = np.empty(n, dtype=np.complex128)
+    multiply = np.multiply
+    add = np.add
     for _ in range(MAX_SWEEPS):
         off = float(np.max(np.abs(a - np.diag(np.diag(a)))))
         if off < OFF_TOL:
@@ -65,20 +81,30 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
                     # Each update makes the same float operations, with the
                     # same operand order, as forming the rotated columns
                     # (a <- a R, v <- v R) and then rows (a <- R^dagger a)
-                    # out of place; t holds old p's share of the new q.
+                    # out of place; col_t and row_t hold old p's share of
+                    # the new q.  Each coefficient is its own expression:
+                    # s * phase is not -(-s * phase) when phase is real, as
+                    # the imaginary zeros carry opposite signs.
+                    k_c[()] = c
+                    k_col_q[()] = s / phase
+                    k_col_p[()] = -s * phase
+                    k_row_q[()] = s * phase
+                    k_row_p[()] = -s / phase
                     col_p = cols[p]
                     col_q = cols[q]
-                    t = col_p * (-s * phase)
-                    col_p *= c
-                    col_p += col_q * (s / phase)
-                    col_q *= c
-                    col_q += t
+                    multiply(col_p, k_col_p, col_t)
+                    multiply(col_p, k_c, col_p)
+                    multiply(col_q, k_col_q, col_u)
+                    add(col_p, col_u, col_p)
+                    multiply(col_q, k_c, col_q)
+                    add(col_q, col_t, col_q)
                     row_q = rows[q]
-                    t = row_p * (-s / phase)
-                    row_p *= c
-                    row_p += row_q * (s * phase)
-                    row_q *= c
-                    row_q += t
+                    multiply(row_p, k_row_p, row_t)
+                    multiply(row_p, k_c, row_p)
+                    multiply(row_q, k_row_q, row_u)
+                    add(row_p, row_u, row_p)
+                    multiply(row_q, k_c, row_q)
+                    add(row_q, row_t, row_q)
                     # Exact by construction; drop the roundoff residue.
                     row_p[q] = 0.0
                     row_q[p] = 0.0

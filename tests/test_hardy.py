@@ -8,7 +8,13 @@ from numpy.testing import assert_allclose
 
 import hardywitness as hw
 from hardywitness.errors import DegeneratePair, NonPositiveWeight, NumericalFailure
-from hardywitness.hardy import FLAGGED_CONDITION, ZERO_CONDITIONS, choose_pair, entry_label
+from hardywitness.hardy import (
+    DEFAULT_EPS_DEG,
+    FLAGGED_CONDITION,
+    ZERO_CONDITIONS,
+    choose_pair,
+    entry_label,
+)
 from hardywitness.schmidt import SchmidtDecomposition
 
 from conftest import random_state, random_unitary
@@ -398,6 +404,55 @@ class TestWitnessReport:
         v = hw.make_state([2, 2], amps)
         assert choose_pair(hw.schmidt_decompose(v, SPLIT).weights) == (None, reason)
         assert hw.make_witness_report(v, SPLIT).reason == reason
+
+
+def _numpy_scalar_ranking(weights, eps_deg):
+    """The pair ranking computed on np.float64 scalars throughout."""
+    w = np.asarray(weights, dtype=np.float64)
+    pairs = [
+        (i, j)
+        for i in range(len(w))
+        for j in range(i + 1, len(w))
+        if abs(w[i] - w[j]) > eps_deg
+    ]
+    return sorted(pairs, key=lambda ij: -hw.hardy_probability(w[ij[0]], w[ij[1]]))
+
+
+@st.composite
+def ranked_weights(draw):
+    """Nonincreasing unit-norm weights (d = 1-64) and their eps_deg; up to
+    d/2 weights are set 0.5, 1 or 1.5 eps_deg (before normalization) from
+    another, so near-ties fall on both sides of eps_deg."""
+    d = draw(st.integers(1, 64))
+    eps_deg = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.05, 1.0, d)
+    ties = draw(st.integers(0, d // 2))
+    at = rng.integers(d, size=(ties, 2))
+    w[at[:, 1]] = w[at[:, 0]] + rng.choice([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5], ties) * eps_deg
+    return np.sort(w / np.linalg.norm(w))[::-1], eps_deg
+
+
+class TestPairRanking:
+    """distinct_weight_pairs ranks as the closed form on np.float64 does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ranked_weights())
+    def test_matches_numpy_scalar_ranking(self, case):
+        weights, eps_deg = case
+        expected = _numpy_scalar_ranking(weights, eps_deg)
+        assert hw.distinct_weight_pairs(weights, eps_deg) == expected
+        assert hw.distinct_weight_pairs(tuple(weights), eps_deg) == expected
+        assert hw.distinct_weight_pairs(tuple(map(float, weights)), eps_deg) == expected
+
+    @pytest.mark.parametrize("container", [np.array, tuple])
+    def test_equal_scores_keep_index_order(self, container):
+        # repeated weights give pairs with bit-equal scores; the sort is
+        # stable, so those keep their index order
+        weights = container([0.6, 0.5, 0.5, 0.3, 0.3])
+        pairs = hw.distinct_weight_pairs(weights)
+        assert pairs == _numpy_scalar_ranking(weights, DEFAULT_EPS_DEG)
+        assert pairs == [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (0, 1), (0, 2)]
 
 
 @st.composite

@@ -147,6 +147,17 @@ def _oracle_cases():
         m[[0, d // 2, d - 1]] = 0.0
         m /= np.linalg.norm(m)
         cases.append(pytest.param(m @ m.conj().T, id=f"zero-rows-{d}"))
+    # real Gram matrices: each phase is 1, or -1 up to a 1.2e-16 imaginary
+    # part, so the coefficients carry signed-zero imaginary parts
+    # (s * phase is 0.3+0j where -(-s * phase) is 0.3-0j)
+    for n in (4, 16, 64):
+        m = rng.standard_normal((n, n))
+        m /= np.linalg.norm(m)
+        cases.append(pytest.param(m @ m.T, id=f"real-{n}"))
+    # purely imaginary couplings: every phase is +-1j up to a 6e-17 real part
+    k = rng.standard_normal((8, 8))
+    imaginary = np.diag(rng.uniform(0.0, 0.25, 8)) + 0.05j * (k - k.T)
+    cases.append(pytest.param(imaginary, id="imaginary-couplings-8"))
     # a -0.0 eigenvalue on a row no rotation touches comes back as -0.0
     signed = np.array([[0.5, 0.0, 0.25j], [0.0, -0.0, 0.0], [-0.25j, 0.0, 0.5]])
     cases.append(pytest.param(signed, id="signed-zero"))
