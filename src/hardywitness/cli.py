@@ -565,7 +565,7 @@ def cmd_simulate(args, v) -> dict:
         "command": "simulate",
         "shots": args.shots,
         "seed": args.seed,
-        "schedule": [list(p) for p in sampling.DEFAULT_SCHEDULE],
+        "schedule": [list(p) for p in sampling.SCHEDULE],
         "sigma": freq.sigma,
         "export": args.export,
         "conditions": [

@@ -4,9 +4,12 @@ The generator is SplitMix64 used in counter mode: shot k under seed s draws
 the 64-bit word mix64((s + (k+1) * 0x9E3779B97F4A7C15) mod 2^64) where mix64
 is the standard SplitMix64 finalizer (xor-shift 30, multiply
 0xBF58476D1CE4E5B9, xor-shift 27, multiply 0x94D049BB133111EB, xor-shift
-31).  Uniform variates take the top 53 bits over 2^53.  Records are thus a
-pure function of (seed, shots, schedule, table) and identical across runs
-and platforms.
+31).  Uniform variates take the top 53 bits over 2^53.
+
+Shot k measures ``SCHEDULE[k % 4]``: the construction's four setting pairs
+(X1, X2), (X1, Y2), (Y1, X2), (Y1, Y2) in turn, the only measurements the
+test needs.  Records are thus a pure function of (seed, shots, table) and
+identical across runs and platforms.
 
 Shots are drawn, stored, counted and exported as whole arrays.  The
 generator uses only wrapping uint64 arithmetic, so ``uniform_chunk`` gives
@@ -22,6 +25,7 @@ time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,8 @@ import numpy as np
 from .errors import TooLarge
 from .hardy import (
     FLAGGED_CONDITION,
+    SIDE1_SETTINGS,
+    SIDE2_SETTINGS,
     ZERO_CONDITIONS,
     HardyCondition,
     JointProbabilityTable,
@@ -40,12 +46,13 @@ MIX_MULT_2 = 0x94D049BB133111EB
 MASK64 = (1 << 64) - 1
 
 # Shots drawn, iterated and exported per step: bounds the working arrays
-# (about 1 MB at this size) whatever the shot count.
+# (about 1 MB at this size) whatever the shot count.  A multiple of 4.
 CHUNK = 1 << 16
 # Most shots one run may hold: its cells take at least 1 byte per shot.
 SHOT_CAP = 10**9
 
-DEFAULT_SCHEDULE = (("X1", "X2"), ("X1", "Y2"), ("Y1", "X2"), ("Y1", "Y2"))
+# The setting pair of shot k is SCHEDULE[k % 4].
+SCHEDULE = tuple(itertools.product(SIDE1_SETTINGS, SIDE2_SETTINGS))
 DEFAULT_SIGMA = 4.0
 
 CSV_HEADER = "shot,setting1,setting2,outcome1,outcome2"
@@ -118,16 +125,11 @@ class ShotRecords:
     __hash__ = None
 
 
-def sample_from_table(
-    table: JointProbabilityTable,
-    shots: int,
-    seed: int,
-    schedule=None,
-) -> ShotRecords:
+def sample_from_table(table: JointProbabilityTable, shots: int, seed: int) -> ShotRecords:
     """Draw shots by inverse CDF over the outcome pairs of each setting pair.
 
-    Shot k uses counter k of the seed's stream and the schedule entry
-    k mod len(schedule), and its cell is the flat position of the drawn
+    Shot k uses counter k of the seed's stream and the setting pair
+    ``SCHEDULE[k % 4]``, and its cell is the flat position of the drawn
     entry in ``table.probs``.  Outcome pairs are scanned in the table's fixed
     outcome order and shot k takes the first pair whose running sum exceeds
     its uniform u, so a zero-probability pair owns an empty interval and is
@@ -137,9 +139,10 @@ def sample_from_table(
     taken at all.
 
     Only two-party tables can be sampled; a table of any other number of
-    parties raises ``ValueError``, and so does a scheduled row with a
-    non-finite entry or no positive entry.  More than ``SHOT_CAP`` shots
-    raise ``TooLarge``.  Both are checked before anything is allocated.
+    parties raises ``ValueError``, and so does a table without one of the
+    four setting pairs or with a row holding a non-finite entry or no
+    positive entry.  More than ``SHOT_CAP`` shots raise ``TooLarge``.  All
+    are checked before anything is allocated.
     """
     if table.n_parties != 2:
         raise ValueError(
@@ -149,18 +152,12 @@ def sample_from_table(
         raise ValueError("shots must be at least 1")
     if shots > SHOT_CAP:
         raise TooLarge(f"{shots} shots exceed the cap of {SHOT_CAP}")
-    if schedule is None:
-        schedule = DEFAULT_SCHEDULE
-    schedule = [tuple(pair) for pair in schedule]
-    if not schedule:
-        raise ValueError("schedule must not be empty")
     rows = {choice: r for r, choice in enumerate(table.setting_choices())}
-    for pair in schedule:
-        if pair not in rows:
-            raise ValueError(f"schedule entry {pair} is not a setting choice")
     n_pairs = table.probs[0, 0].size
     edges, beyond, offsets = [], [], []
-    for pair in schedule:
+    for pair in SCHEDULE:
+        if pair not in rows:
+            raise ValueError(f"setting pair {pair} is not a setting choice of the table")
         row = table.probs[table.index(pair)].ravel()
         if not np.isfinite(row).all():
             raise ValueError(f"setting pair {pair} has a non-finite table entry")
@@ -173,16 +170,16 @@ def sample_from_table(
         # u landed beyond the (~1.0) last edge: take the last positive entry
         beyond.append(int(positive[-1]))
         offsets.append(rows[pair] * n_pairs)
-    period = len(schedule)
     cells = np.empty(shots, dtype=np.min_scalar_type(table.probs.size - 1))
     for start in range(0, shots, CHUNK):
         stop = min(start + CHUNK, shots)
         u = uniform_chunk(seed, start, stop)
-        for j in range(min(period, stop - start)):
-            slot = (start + j) % period
-            chosen = np.searchsorted(edges[slot], u[j::period], side="right")
-            chosen[chosen == n_pairs] = beyond[slot]
-            cells[start + j : stop : period] = offsets[slot] + chosen
+        # CHUNK is a multiple of 4, so shots j, j + 4, ... of every chunk
+        # measure SCHEDULE[j]
+        for j in range(4):
+            chosen = np.searchsorted(edges[j], u[j::4], side="right")
+            chosen[chosen == n_pairs] = beyond[j]
+            cells[start + j : stop : 4] = offsets[j] + chosen
     return ShotRecords(cells, table)
 
 

@@ -381,6 +381,14 @@ class TestSimulateCommand:
         assert by_label["P(X1=+1, X2=+1)"]["count"] == 0
         assert by_label["P(Y1=+1, Y2=+1)"]["passed"] is True
 
+    def test_machine_schedule_is_the_sampled_order(self, state_file, report_08_02, capsys):
+        code = main(["simulate", "--state", state_file, "--split", "1|2",
+                     "--shots", "10", "--seed", "1", "--format", "machine"])
+        assert code == 0
+        schedule = json.loads(capsys.readouterr().out)["schedule"]
+        records = list(sampling.sample_from_table(report_08_02.table, 4, 1))
+        assert schedule == [[r.setting1, r.setting2] for r in records]
+
     def test_single_shot(self, state_file, capsys):
         code = main(["simulate", "--state", state_file, "--split", "1|2",
                      "--shots", "1", "--seed", "1"])

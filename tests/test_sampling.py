@@ -14,7 +14,7 @@ from hardywitness.hardy import FLAGGED_CONDITION
 from hardywitness.errors import TooLarge
 from hardywitness.sampling import (
     CHUNK,
-    DEFAULT_SCHEDULE,
+    SCHEDULE,
     SHOT_CAP,
     records_to_csv,
     sample_from_table,
@@ -59,12 +59,12 @@ class TestGenerator:
         assert got.tolist() == [uniform_unit(seed, k) for k in range(start, start + n)]
 
 
-def _loop_sample(table, shots, seed, schedule):
+def _loop_sample(table, shots, seed):
     """Reference sampler, one shot at a time: the first edge of the running
     sum above u, else the last positive entry."""
     records = []
     for k in range(shots):
-        pair = schedule[k % len(schedule)]
+        pair = SCHEDULE[k % len(SCHEDULE)]
         row = table.row(pair)
         edges = list(itertools.accumulate(p for _, p in row))
         u = uniform_unit(seed, k)
@@ -77,12 +77,11 @@ def _loop_sample(table, shots, seed, schedule):
 
 @st.composite
 def sampling_cases(draw):
-    """Two-party ternary tables with zero and tiny negative entries, and
-    schedules that repeat setting pairs."""
+    """Two-party ternary tables with zero and tiny negative entries."""
     outcomes = list(itertools.product((1, -1, 0), repeat=2))
     entry = st.one_of(st.just(0.0), st.just(-1e-12), st.floats(1e-6, 1.0))
     entries = {}
-    for pair in DEFAULT_SCHEDULE:
+    for pair in SCHEDULE:
         weights = draw(st.lists(entry, min_size=9, max_size=9))
         if max(weights) <= 0.0:
             weights[-1] = 1.0
@@ -91,17 +90,16 @@ def sampling_cases(draw):
     party_settings = (("X1", "Y1"), ("X2", "Y2"))
     probs = [entries[(pair, o)] for pair in itertools.product(*party_settings) for o in outcomes]
     table = hw.JointProbabilityTable(party_settings, ((1, -1, 0),) * 2, probs)
-    schedule = draw(st.lists(st.sampled_from(DEFAULT_SCHEDULE), min_size=1, max_size=7))
-    return table, draw(st.integers(1, 300)), draw(st.integers(-(2**64), 2**65)), schedule
+    return table, draw(st.integers(1, 300)), draw(st.integers(-(2**64), 2**65))
 
 
 class TestSample:
     @settings(max_examples=100, deadline=None)
     @given(sampling_cases())
     def test_matches_per_shot_loop(self, case):
-        table, shots, seed, schedule = case
-        records = sample_from_table(table, shots, seed, schedule)
-        expected = _loop_sample(table, shots, seed, schedule)
+        table, shots, seed = case
+        records = sample_from_table(table, shots, seed)
+        expected = _loop_sample(table, shots, seed)
         assert list(records) == expected
         # each cell is the flat position of its record's entry in table.probs
         positions = [
@@ -124,10 +122,12 @@ class TestSample:
     def test_product_state_outcomes_stay_on_row_support(self, report_08_02):
         product = hw.basis_state([2, 2], (0, 0))
         table = hw.joint_table(product, report_08_02.construction)
-        records = sample_from_table(table, 400, 9, schedule=[("X1", "X2")])
-        outcomes = {(r.outcome1, r.outcome2) for r in records}
+        records = sample_from_table(table, 1600, 9)
+        outcomes = {
+            (r.outcome1, r.outcome2) for r in records if (r.setting1, r.setting2) == ("X1", "X2")
+        }
         support = {out for out, p in table.row(("X1", "X2")) if p > 1e-12}
-        assert outcomes <= support
+        assert outcomes and outcomes <= support
 
     def test_deterministic_distribution_yields_single_pair(self):
         # |22> sits in the null manifold of observables built on levels {0,1},
@@ -164,10 +164,11 @@ class TestSample:
         assert abs(hits / n_pair - 4 / 45) < 0.0036
 
     def test_round_robin_schedule(self, report_08_02):
+        assert SCHEDULE == (("X1", "X2"), ("X1", "Y2"), ("Y1", "X2"), ("Y1", "Y2"))
+        # a chunk's offset j is its schedule slot
+        assert CHUNK % len(SCHEDULE) == 0
         records = sample_from_table(report_08_02.table, 8, 1)
-        assert [(r.setting1, r.setting2) for r in records] == list(
-            DEFAULT_SCHEDULE + DEFAULT_SCHEDULE
-        )
+        assert [(r.setting1, r.setting2) for r in records] == list(SCHEDULE + SCHEDULE)
 
     @pytest.mark.parametrize(
         "case, expected",
@@ -198,10 +199,13 @@ class TestSample:
     def test_bad_inputs(self, report_08_02):
         with pytest.raises(ValueError):
             sample_from_table(report_08_02.table, 0, 1)
-        with pytest.raises(ValueError):
-            sample_from_table(report_08_02.table, 10, 1, schedule=[("X1", "bogus")])
-        with pytest.raises(ValueError, match="schedule must not be empty"):
-            sample_from_table(report_08_02.table, 10, 1, schedule=[])
+
+    def test_names_a_missing_setting_pair(self):
+        table = hw.JointProbabilityTable(
+            (("X1", "Y1"), ("X2", "Z2")), ((1, -1),) * 2, np.full((2, 2, 2, 2), 0.25)
+        )
+        with pytest.raises(ValueError, match=r"\('X1', 'Y2'\) is not a setting choice"):
+            sample_from_table(table, 10, 1)
 
     @pytest.mark.parametrize(
         "index, value, message",
@@ -225,9 +229,8 @@ class TestSample:
     def test_rejects_tables_that_are_not_two_party(self, tripartite_example):
         witness = hw.multipartite_witness(tripartite_example)
         table = hw.multipartite_table(tripartite_example, witness)
-        schedule = [("X1", "X2", "T3"), ("X1", "Y2", "T3")]
         with pytest.raises(ValueError, match="two-party table, got 3 parties"):
-            sample_from_table(table, 10, 1, schedule=schedule)
+            sample_from_table(table, 10, 1)
 
 
 class TestAnalyze:
@@ -365,12 +368,12 @@ class TestRecords:
             tracemalloc.stop()
         assert peak < 16 * CHUNK
 
-    def test_compare_across_schedules_in_bounded_memory(self, report_08_02):
-        """Equal records under different schedules compare equal, in bounded memory."""
-        shots, pair = 3 * CHUNK + 1, ("X1", "X2")
-        one = sample_from_table(report_08_02.table, shots, 6, [pair])
-        two = sample_from_table(report_08_02.table, shots, 6, [pair, pair])
-        shorter = sample_from_table(report_08_02.table, shots - 1, 6, [pair, pair])
+    def test_compare_in_bounded_memory(self, report_08_02):
+        """Records of equal runs compare equal, in bounded memory."""
+        shots = 3 * CHUNK + 1
+        one = sample_from_table(report_08_02.table, shots, 6)
+        two = sample_from_table(report_08_02.table, shots, 6)
+        shorter = sample_from_table(report_08_02.table, shots - 1, 6)
         tracemalloc.start()
         try:
             assert one == two
@@ -379,7 +382,7 @@ class TestRecords:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        changed = sample_from_table(report_08_02.table, shots, 7, [pair, pair])
+        changed = sample_from_table(report_08_02.table, shots, 7)
         assert one != changed
 
 
@@ -404,38 +407,35 @@ class TestPinnedRecords:
     """CSV sha256, every analyze cell count, and the cells' dtype and sha256,
     pinned bit for bit.
 
-    The second case repeats the (Y1, Y2) slot in a five-entry schedule and
-    runs past two chunk edges, so chunked drawing, the slot phase across
-    chunks and the counting of a setting pair drawn in two slots are all
-    covered.
+    The second case runs past two chunk edges and ends three shots into a
+    chunk, so chunked drawing, the slot phase across chunks and a chunk
+    that leaves a slot empty are all covered.
     """
 
     PINNED = {
         "hardy_08_02_seed42": (
             10**5,
             42,
-            None,
             "747bdfcb989ba7fd8f4f2d6dd781e7efeb24c5cda62e07f6dd96715a51ab413c",
             [0, 10094, 0, 10032, 4874, 0, 0, 0, 0, 6645, 3371, 0, 0, 14984, 0, 0, 0, 0,
              6661, 0, 0, 3374, 14965, 0, 0, 0, 0, 2265, 4362, 0, 4365, 14008, 0, 0, 0, 0],
             "4c46d68ea368e98835cc4555ed636da3436b683176b981e1708cb9d84cc58005",
         ),
-        "random_3x3_repeated_slot": (
+        "random_3x3_three_chunks": (
             2 * CHUNK + 3,
             7,
-            [("Y1", "Y2"), ("X1", "X2"), ("Y1", "Y2"), ("X1", "Y2"), ("Y1", "X2")],
-            "4e8f4b5e50b9bae9ea28ecd811fb68f6533eccc48206daac576695e02073f50c",
-            [0, 9489, 0, 9409, 7049, 0, 0, 0, 268, 5435, 4022, 0, 0, 16494, 0, 0, 0, 264,
-             5350, 0, 0, 4029, 16549, 0, 0, 0, 287, 4514, 6200, 0, 6236, 34934, 0, 0, 0, 546],
-            "b555d193f24bff5cced4981486a904ea94a2b07ba1a58a944d1e7bacf4e7a4b8",
+            "6ca403b3f8f1eec3d09fd4b6eaaa519a384ca071c49123a6ab3adf30509eaf22",
+            [0, 11863, 0, 11659, 8889, 0, 0, 0, 358, 6755, 5148, 0, 0, 20505, 0, 0, 0, 361,
+             6662, 0, 0, 5092, 20707, 0, 0, 0, 308, 2913, 3854, 0, 3758, 21905, 0, 0, 0, 338],
+            "38d72ac13a7619c486a1f3be115b56ef674887a6fc14f5aa1584f8ff38f535f6",
         ),
     }
 
     @pytest.mark.parametrize("name", list(PINNED))
     def test_bit_identical(self, name, report_08_02, tmp_path):
         table = report_08_02.table if name == "hardy_08_02_seed42" else _random_3x3_table()
-        shots, seed, schedule, digest, counts, cells_digest = self.PINNED[name]
-        records = sample_from_table(table, shots, seed, schedule)
+        shots, seed, digest, counts, cells_digest = self.PINNED[name]
+        records = sample_from_table(table, shots, seed)
         assert records.cells.dtype == np.uint8
         assert hashlib.sha256(records.cells.tobytes()).hexdigest() == cells_digest
         text = records_to_csv(records)
