@@ -28,25 +28,34 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(eigenvalues, vectors)`` with eigenvalues in diagonal order
     (unsorted) and eigenvectors as the columns of ``vectors``.  The caller is
-    responsible for Hermiticity of the input.
+    responsible for Hermiticity of the input.  A NaN or inf entry raises
+    :class:`NumericalFailure` before any rotation.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalFailure("matrix has a non-finite entry")
     n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
     # The matrix a over its eigenvector accumulator v, so one column update
-    # rotates both.  Every view is built once: the stacked columns, the rows
-    # of a, and the real and imaginary parts of a's diagonal.
-    buf = np.concatenate([a, np.eye(n, dtype=np.complex128)])
+    # rotates both; v starts as the identity, written through the float
+    # view.  Every view is built once: the stacked columns, the rows of a,
+    # and the real and imaginary parts of a's diagonal.
+    buf = np.zeros((2 * n, n), dtype=np.complex128)
+    buf[:n] = a
     a = buf[:n]
     v = buf[n:]
     cols = list(buf.T)
     rows = list(a)
     flat = buf.view(np.float64).reshape(-1)
+    flat[2 * n * n :: 2 * (n + 1)] = 1.0
     diag_re = flat[0 : 2 * n * n : 2 * (n + 1)]
     diag_im = flat[1 : 2 * n * n : 2 * (n + 1)]
+    # Each sweep's convergence test writes |a| into mags and clears its
+    # diagonal through a strided view: for a finite matrix its largest
+    # entry is max|a - diag(diag(a))|, without the temporaries.
+    mags = np.empty((n, n))
+    mags_diag = mags.reshape(-1)[:: n + 1]
     # A rotation's coefficients live in 0-d complex arrays and its products
     # in scratch vectors, all allocated once per call: a ufunc given a
     # Python scalar converts it to an array, and an operator allocates its
@@ -64,8 +73,9 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     multiply = np.multiply
     add = np.add
     for _ in range(MAX_SWEEPS):
-        off = float(np.max(np.abs(a - np.diag(np.diag(a)))))
-        if off < OFF_TOL:
+        np.abs(a, out=mags)
+        mags_diag.fill(0.0)
+        if mags.max() < OFF_TOL:
             return diag_re.copy(), v.copy()
         for p in range(n - 1):
             row_p = rows[p]

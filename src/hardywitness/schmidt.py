@@ -85,10 +85,10 @@ def _spectrum(v: StateVector, split: Bipartition):
     m = reshape_bipartite(v, split)
     gram = m @ m.conj().T
     eigvals, eigvecs = hermitian_eigensystem(gram)
-    weights = np.sqrt(np.clip(eigvals, 0.0, None))
+    weights = np.sqrt(np.maximum(eigvals, 0.0))
     # Both floors are monotone in the eigenvalue, so the kept indices are a
     # prefix of the full stable order and ordering only them is the same.
-    kept = np.flatnonzero((weights > WEIGHT_FLOOR) & (eigvals > GRAM_NOISE_FLOOR))
+    kept = ((weights > WEIGHT_FLOOR) & (eigvals > GRAM_NOISE_FLOOR)).nonzero()[0]
     order = _stable_order(weights, eigvecs, kept.tolist())
     if not order:
         raise NumericalFailure("state has no Schmidt weight above the floor")

@@ -42,6 +42,8 @@ def solve_equality_feasibility(
     m, n = a.shape
     if b.size != m:
         raise NumericalFailure(f"A has {m} rows but b has {b.size} entries")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericalFailure("A or b has a non-finite entry")
     flips = np.where(b < 0, -1.0, 1.0)
     tableau = np.hstack([a * flips[:, None], np.eye(m)])
     rhs = b * flips
@@ -53,30 +55,37 @@ def solve_equality_feasibility(
         max_iterations = 1000 + 50 * (m + n)
     iterations = 0
     while True:
-        entering_candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-        if entering_candidates.size == 0:
+        eligible = reduced < -PIVOT_TOL
+        j = int(eligible.argmax())  # Bland: lowest eligible index
+        if not eligible[j]:
             break
-        j = int(entering_candidates[0])  # Bland: lowest eligible index
-        rows = np.flatnonzero(tableau[:, j] > PIVOT_TOL)
+        column = tableau[:, j]
+        rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             raise NumericalFailure(
                 "phase-1 column with no positive pivot (objective is bounded; "
                 "this indicates numerical breakdown)"
             )
-        ratios = rhs[rows] / tableau[rows, j]
+        ratios = rhs[rows] / column[rows]
         # Bland: ratio ties go to the lowest basic index.
-        pivot_row = int(rows[np.lexsort((basis[rows], ratios))[0]])
-        pivot = tableau[pivot_row, j]
-        tableau[pivot_row] /= pivot
+        ties = rows[ratios == ratios.min()]
+        pivot_row = int(ties[basis[ties].argmin()])
+        row = tableau[pivot_row]
+        pivot = column[pivot_row]
+        row /= pivot
         rhs[pivot_row] /= pivot
-        factors = tableau[:, j].copy()
+        factors = column.copy()
         factors[pivot_row] = 0.0
-        hit = factors != 0.0
-        tableau[hit] -= np.outer(factors[hit], tableau[pivot_row])
-        rhs[hit] -= factors[hit] * rhs[pivot_row]
-        rhs[hit & (rhs < 0.0)] = 0.0
+        # Integer indices of the rows to update: one gather and one scatter
+        # each, where a boolean mask is scanned on every use.
+        hit = factors.nonzero()[0]
+        f = factors[hit]
+        tableau[hit] -= f[:, None] * row
+        updated = rhs[hit] - f * rhs[pivot_row]
+        updated[updated < 0.0] = 0.0
+        rhs[hit] = updated
         factor = reduced[j]
-        reduced -= factor * tableau[pivot_row]
+        reduced -= factor * row
         reduced[j] = 0.0
         basis[pivot_row] = j
         iterations += 1

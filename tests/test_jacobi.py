@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hardywitness.errors import DimensionMismatch
+from hardywitness.errors import DimensionMismatch, NumericalFailure
 from hardywitness.jacobi import MAX_SWEEPS, OFF_TOL, hermitian_eigensystem
 
 from conftest import random_unitary
@@ -58,6 +58,32 @@ def test_degenerate_spectrum():
 def test_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         hermitian_eigensystem(np.zeros((2, 3)))
+
+
+def test_convergence_threshold_is_strict():
+    at_tol = np.array([[0.6, OFF_TOL], [OFF_TOL, 0.4]])
+    vals, vecs = hermitian_eigensystem(at_tol)
+    assert vecs[1, 0] != 0.0  # rotated
+    below = np.array([[0.6, OFF_TOL / 2], [OFF_TOL / 2, 0.4]])
+    vals, vecs = hermitian_eigensystem(below)
+    assert vals.tolist() == [0.6, 0.4]
+    assert vecs.tobytes() == np.eye(2, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 2)])
+def test_non_finite_matrix_refused_at_once(bad, where):
+    # a NaN would otherwise run all MAX_SWEEPS sweeps before failing
+    a = np.diag([0.5, 0.3, 0.2]).astype(np.complex128)
+    a[where] = bad
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        hermitian_eigensystem(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scalar_refused(bad):
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        hermitian_eigensystem([[bad]])
 
 
 def test_gram_matrix_scale():
@@ -161,6 +187,13 @@ def _oracle_cases():
     # a -0.0 eigenvalue on a row no rotation touches comes back as -0.0
     signed = np.array([[0.5, 0.0, 0.25j], [0.0, -0.0, 0.0], [-0.25j, 0.0, 0.5]])
     cases.append(pytest.param(signed, id="signed-zero"))
+    # the convergence test is strict: |a01| = OFF_TOL rotates, half of it
+    # does not
+    for coupling, name in (
+        (OFF_TOL, "coupling-at-off-tol"),
+        (OFF_TOL / 2, "coupling-half-off-tol"),
+    ):
+        cases.append(pytest.param(np.array([[0.6, coupling], [coupling, 0.4]]), id=name))
     return cases
 
 
