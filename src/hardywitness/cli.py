@@ -506,10 +506,8 @@ def show_witness(tree):
 def _certify_table(args, v) -> tuple[JointProbabilityTable | None, str | None]:
     """The exact table ``certify`` decides, or None and the not-applicable reason."""
     if args.mode == "multipartite":
-        from . import multipartite
-
         w = _multipartite_witness(args, v)
-        return (multipartite.multipartite_table(v, w), None) if w.applicable else (None, w.reason)
+        return w.table, w.reason
     report = _bipartite_report(args, v)
     return report.table, report.reason
 

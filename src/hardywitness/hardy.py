@@ -179,15 +179,13 @@ class Observable:
 
     ``outcome_vectors`` pairs each nonzero outcome with its eigenvector; the
     outcome 0 belongs to the orthogonal complement of all listed vectors and
-    its projector is only ever applied implicitly.
+    its projector is only ever applied implicitly.  The outcome alphabet is
+    the table's: a peeled party whose vectors span its subsystem has no
+    outcome 0 there.
     """
 
     label: str
     outcome_vectors: tuple[tuple[int, np.ndarray], ...]
-
-    @property
-    def outcomes(self) -> tuple[int, ...]:
-        return tuple(o for o, _ in self.outcome_vectors) + (0,)
 
     def vector(self, outcome: int) -> np.ndarray | None:
         for o, vec in self.outcome_vectors:

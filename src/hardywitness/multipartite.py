@@ -44,13 +44,15 @@ one report; the default order makes 7 peel calls, one report and no cap.
 For GHZ5 it makes 19 peel calls and for W5 22: neither finishes an
 applicable order, so neither is ever capped.
 
-Each table (and each witness's condition values) builds its measurement
-chain once: every party's single-subsystem split and its setting-to-observable
-map.  One depth-first walk over the chain fills the table: each prefix of
-(setting, outcome) choices is projected once, and the last party, a peeled
-one with a single setting, gets outcome probabilities only, with no residual.
-The 288 entries of a 5-qubit table take 126 residual-carrying projections and
-128 probability-only evaluations instead of 864 projections.  Each residual
+An applicable witness measures the joint table of its winning order once
+and keeps it: its six conditions are entries of that table, which has passed
+``check()``, and :func:`multipartite_table` returns it without walking the
+state again.  One depth-first walk over the measurement chain (each party's
+subsystem and its observables) fills the table: each prefix of (setting,
+outcome) choices is projected once, and the last party, a peeled one with a
+single setting, gets outcome probabilities only, with no residual.  The 288
+entries of a 5-qubit table take 126 residual-carrying projections and 128
+probability-only evaluations instead of 864 projections.  Each residual
 stays the coefficient matrix of the party just projected, and one transposed
 copy makes it the next party's, with no state vector rebuilt in between.
 """
@@ -292,49 +294,41 @@ def _recurse(
 
 @dataclass(frozen=True)
 class MultipartiteWitness:
-    """Peeling chain, final two-party report, and the combined probability."""
+    """Peeling chain, final two-party report, combined probability and checked table.
+
+    ``state`` is the state the witness was searched on.  An applicable
+    witness carries ``table``, the joint table of its observables measured
+    on ``state`` (see :func:`multipartite_table`), and each of its six
+    ``conditions`` is an entry of that table.
+    """
 
     applicable: bool
     reason: str | None
-    dims: tuple[int, ...]
+    state: StateVector
     steps: tuple[PeelStep, ...] = ()
     final_subsystems: tuple[int, int] | None = None
     final_report: WitnessReport | None = None
     q_product: float | None = None
     combined_probability: float | None = None
     conditions: tuple[ConditionValue, ...] = ()
+    table: JointProbabilityTable | None = None
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.state.dims
 
 
-def _chain(n: int, construction, final_subsystems, steps) -> tuple:
-    """Each party's single-subsystem split and {setting label: observable} map.
-
-    Parties are ordered as in :func:`multipartite_table`: the final pair's
-    sides 1 and 2 (X1, Y1 and X2, Y2, the construction's observables in
-    order), then the peeled subsystems in peel order, each with its single T
-    observable.
-    """
-    x1, y1, x2, y2 = construction.observables
-    parties = [
-        (final_subsystems[0], {x1.label: x1, y1.label: y1}),
-        (final_subsystems[1], {x2.label: x2, y2.label: y2}),
-    ]
-    parties += [(s.subsystem, {s.observable.label: s.observable}) for s in steps]
-    return tuple(
-        (Bipartition((k,), tuple(j for j in range(n) if j != k)), observables)
-        for k, observables in parties
-    )
-
-
-def _chain_probabilities(v: StateVector, chain, party_settings, party_outcomes) -> np.ndarray:
+def _chain_probabilities(v: StateVector, parties, party_outcomes) -> np.ndarray:
     """Joint outcome probabilities of the final pair and the peeled parties.
 
-    Returns an array with one setting axis per party followed by one outcome
-    axis per party, as :class:`JointProbabilityTable` stores them.  One
-    depth-first walk over the chain projects each (setting, outcome) prefix
-    once and carries its running product of probabilities.  Outcome 0
-    projects onto the orthogonal complement of the observable's marked
-    vectors.  Projectors on distinct subsystems commute, so the chain rule
-    over normalized residuals applies.  A prefix whose probability is at
+    ``parties`` lists each party's subsystem and its observables, one per
+    setting.  Returns an array with one setting axis per party followed by
+    one outcome axis per party, as :class:`JointProbabilityTable` stores
+    them.  One depth-first walk over the parties projects each (setting,
+    outcome) prefix once and carries its running product of probabilities.
+    Outcome 0 projects onto the orthogonal complement of the observable's
+    marked vectors.  Projectors on distinct subsystems commute, so the chain
+    rule over normalized residuals applies.  A prefix whose probability is at
     ``PROJECTION_FLOOR`` leaves no residual, and its whole sub-block gets its
     running product.  The last party (a peeled one, with a single setting)
     gets only its outcome probabilities.
@@ -349,20 +343,17 @@ def _chain_probabilities(v: StateVector, chain, party_settings, party_outcomes) 
     with the same layout as :func:`apply_local_projector` and
     :func:`apply_local_complement` give it.
     """
-    n = len(chain)
-    probs = np.empty([len(s) for s in party_settings] + [len(o) for o in party_outcomes])
+    n = len(parties)
+    probs = np.empty([len(obs) for _, obs in parties] + [len(o) for o in party_outcomes])
     # the walk's axis order: (setting, outcome) of party 1, of party 2, ...
     walk = probs.transpose([a for k in range(n) for a in (k, n + k)])
-    layouts = [split.side1 + split.side2 for split, _ in chain]
+    layouts = [(k,) + tuple(j for j in range(n) if j != k) for k, _ in parties]
     shapes = [tuple(v.dims[k] for k in layout) for layout in layouts]
     moves = [tuple(map(prev.index, layout)) for prev, layout in zip(layouts, layouts[1:])]
     projectors = []
-    for (_, observables), settings, outcomes, shape in zip(
-        chain, party_settings, party_outcomes, shapes
-    ):
+    for (_, observables), outcomes, shape in zip(parties, party_outcomes, shapes):
         party = []
-        for i, setting in enumerate(settings):
-            obs = observables[setting]
+        for i, obs in enumerate(observables):
             for j, outcome in enumerate(outcomes):
                 if outcome == 0:
                     u = [_check_side_vector(x, shape[0]) for x in obs.marked_vectors()]
@@ -388,40 +379,35 @@ def _chain_probabilities(v: StateVector, chain, party_settings, party_outcomes) 
             nxt = np.ascontiguousarray(tensor).reshape(shapes[depth + 1][0], -1)
             visit(nxt, depth + 1, total * prob, index + (i, j))
 
-    visit(reshape_bipartite(v, chain[0][0]), 0, 1.0, ())
+    visit(reshape_bipartite(v, Bipartition(layouts[0][:1], layouts[0][1:])), 0, 1.0, ())
     return probs
 
 
-def _widened(cond: HardyCondition, steps: tuple[PeelStep, ...]) -> HardyCondition:
-    """``cond`` widened by every peeled party's marked outcome."""
-    return HardyCondition(
-        cond.settings + tuple(s.observable.label for s in steps),
-        cond.outcomes + tuple(s.marked_eigenvalue for s in steps),
-        cond.expect_zero,
-    )
+def _measured_table(
+    v: StateVector, construction, final_subsystems, steps: tuple[PeelStep, ...]
+) -> JointProbabilityTable:
+    """The table of the final pair's and the peeled parties' observables on ``v``, unchecked.
 
-
-def _evaluate_conditions(
-    v: StateVector, chain, steps: tuple[PeelStep, ...], combined: float, zero_tol: float
-) -> tuple[ConditionValue, ...]:
-    """The six conditions, each widened by every peeled party's marked outcome.
-
-    A zero condition at or above ``zero_tol`` is marked not within
-    tolerance; a flagged value more than ``CLOSED_FORM_TOL`` from
-    ``combined`` raises :class:`NumericalFailure`.
+    Parties are ordered (final side 1, final side 2, peeled subsystems in
+    peel order): X1, Y1 and X2, Y2 (the construction's observables in
+    order), then each peeled subsystem's single T observable.  A peeled
+    party's outcome 0 (the complement of the branch vectors) appears only
+    when the branch vectors do not already span the subsystem.  ``v`` need
+    not be the state the observables were built for: a product state
+    measured this way gives a table that a local model reproduces.
     """
-    values = []
-    for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
-        joint = _widened(cond, steps)
-        measured = _chain_probabilities(
-            v, chain, [(s,) for s in joint.settings], [(o,) for o in joint.outcomes]
-        ).item()
-        if not cond.expect_zero and abs(measured - combined) > CLOSED_FORM_TOL:
-            raise NumericalFailure(
-                f"joint condition {joint.label} measured {measured!r}, expected {combined!r}"
-            )
-        values.append(ConditionValue(joint, measured, not cond.expect_zero or measured < zero_tol))
-    return tuple(values)
+    x1, y1, x2, y2 = construction.observables
+    parties = [(final_subsystems[0], (x1, y1)), (final_subsystems[1], (x2, y2))]
+    parties += [(s.subsystem, (s.observable,)) for s in steps]
+    party_outcomes: list[tuple[int, ...]] = [TERNARY_OUTCOMES, TERNARY_OUTCOMES]
+    for step in steps:
+        outcomes = tuple(range(1, len(step.weights) + 1))
+        if len(step.weights) < v.dims[step.subsystem]:
+            outcomes += (0,)
+        party_outcomes.append(outcomes)
+    probs = _chain_probabilities(v, parties, party_outcomes)
+    party_settings = tuple(tuple(obs.label for obs in observables) for _, observables in parties)
+    return JointProbabilityTable(party_settings, tuple(party_outcomes), probs)
 
 
 def multipartite_witness(
@@ -448,8 +434,15 @@ def multipartite_witness(
     and raises :class:`NumericalFailure` as before if that leaf fails its
     checks.  A losing leaf never gets a report, so a numerical failure that
     only its report would have shown no longer aborts the call.
-    ``zero_tol`` judges the joint zero conditions and the final report's: a
-    value at or above it is marked not within tolerance and never raises.
+
+    The joint table of the winning order's observables on ``v`` is then
+    measured once and stored as ``table``, with ``v`` as ``state``.  The six
+    conditions, each widened by every peeled party's marked outcome, are
+    entries of that table.  A flagged value more than ``CLOSED_FORM_TOL``
+    from the combined probability, or a table that fails ``check()``, raises
+    :class:`NumericalFailure`.  ``zero_tol`` judges the joint zero
+    conditions and the final report's: a value at or above it is marked not
+    within tolerance and never raises.
     ``eps_deg`` and ``zero_tol`` must be finite and positive, and every
     ``peel_order`` entry an integer (numpy integers included), or
     ``ValueError`` is raised before any peel.
@@ -494,69 +487,61 @@ def multipartite_witness(
         return MultipartiteWitness(
             applicable=False,
             reason="no peeling branch leads to an applicable two-party test",
-            dims=v.dims,
+            state=v,
         )
     steps, leaf, q_product, combined = best
     report = make_witness_report(leaf, LEAF_SPLIT, eps_deg=eps_deg, zero_tol=zero_tol)
     peeled = {s.subsystem for s in steps}
     final = tuple(k for k in range(n) if k not in peeled)
-    chain = _chain(n, report.construction, final, steps)
+    table = _measured_table(v, report.construction, final, steps)
+    values = []
+    for cond in ZERO_CONDITIONS + (FLAGGED_CONDITION,):
+        joint = HardyCondition(
+            cond.settings + tuple(s.observable.label for s in steps),
+            cond.outcomes + tuple(s.marked_eigenvalue for s in steps),
+            cond.expect_zero,
+        )
+        measured = table.prob(joint.settings, joint.outcomes)
+        if not cond.expect_zero and abs(measured - combined) > CLOSED_FORM_TOL:
+            raise NumericalFailure(
+                f"joint condition {joint.label} measured {measured!r}, expected {combined!r}"
+            )
+        values.append(ConditionValue(joint, measured, not cond.expect_zero or measured < zero_tol))
+    table.check()
     return MultipartiteWitness(
         applicable=True,
         reason=None,
-        dims=v.dims,
+        state=v,
         steps=steps,
         final_subsystems=final,
         final_report=report,
         q_product=q_product,
         combined_probability=combined,
-        conditions=_evaluate_conditions(v, chain, steps, combined, zero_tol),
+        conditions=tuple(values),
+        table=table,
     )
-
-
-def _measured_table(v: StateVector, witness: MultipartiteWitness) -> JointProbabilityTable:
-    """The table of ``witness``'s observables measured on ``v``, unchecked.
-
-    ``v`` must have ``witness.dims`` but need not be the state the witness
-    was searched on: a product state measured this way gives a table that a
-    local model reproduces.
-    """
-    chain = _chain(
-        len(v.dims), witness.final_report.construction, witness.final_subsystems, witness.steps
-    )
-    party_settings = tuple(tuple(observables) for _, observables in chain)
-    party_outcomes: list[tuple[int, ...]] = [TERNARY_OUTCOMES, TERNARY_OUTCOMES]
-    for step in witness.steps:
-        outcomes = tuple(range(1, len(step.weights) + 1))
-        if len(step.weights) < v.dims[step.subsystem]:
-            outcomes += (0,)
-        party_outcomes.append(outcomes)
-    probs = _chain_probabilities(v, chain, party_settings, party_outcomes)
-    return JointProbabilityTable(party_settings, tuple(party_outcomes), probs)
 
 
 def multipartite_table(v: StateVector, witness: MultipartiteWitness) -> JointProbabilityTable:
     """Joint probability table over the final pair plus every peeled observable.
 
-    Parties are ordered (final side 1, final side 2, peeled subsystems in
-    peel order).  Peeled parties have a single setting; their outcome 0 (the
-    complement of the branch vectors) appears only when the branch vectors do
-    not already span the subsystem.  ``witness`` must be ``v``'s own:
-    ``ValueError`` is raised before the walk when its dims differ from
-    ``v``'s, and after it when the flagged entry is more than
-    ``CLOSED_FORM_TOL`` from the witness's combined probability.
+    The table is ``witness.table``, measured and checked when the witness
+    was built; nothing is walked here.  Parties are ordered (final side 1,
+    final side 2, peeled subsystems in peel order).  Peeled parties have a
+    single setting; their outcome 0 (the complement of the branch vectors)
+    appears only when the branch vectors do not already span the subsystem.
+    ``witness`` must be ``v``'s own: ``ValueError`` is raised when it is not
+    applicable, when its dims differ from ``v``'s, and when ``v``'s
+    amplitudes are not bit for bit those of the state it was searched on
+    (a re-normalized copy included).
     """
     if not witness.applicable:
         raise ValueError("cannot tabulate a non-applicable witness")
     if witness.dims != v.dims:
         raise ValueError(f"a witness for dims {witness.dims} cannot tabulate dims {v.dims}")
-    table = _measured_table(v, witness)
-    flagged = _widened(FLAGGED_CONDITION, witness.steps)
-    value = table.prob(flagged.settings, flagged.outcomes)
-    if abs(value - witness.combined_probability) > CLOSED_FORM_TOL:
+    if not np.array_equal(v.amps, witness.state.amps):
         raise ValueError(
-            f"flagged entry {flagged.label} is {value!r}, not the witness's combined "
-            f"probability {witness.combined_probability!r}: the witness is for another state"
+            "the state's amplitudes differ from the ones the witness was searched on: "
+            "the witness is for another state"
         )
-    table.check()
-    return table
+    return witness.table

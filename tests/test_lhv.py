@@ -355,7 +355,7 @@ class TestCertifyMultipartite:
     def test_product_statistics_feasible(self, tripartite_example):
         w = hw.multipartite_witness(tripartite_example)
         product = hw.basis_state([3, 3, 2], (0, 1, 0))
-        table = _measured_table(product, w)
+        table = _measured_table(product, w.final_report.construction, w.final_subsystems, w.steps)
         cert = hw.certify(table)
         assert cert.feasible
 
@@ -393,7 +393,10 @@ def _sliced_tables():
         assert w.applicable
         cases.append((f"{dims}", hw.multipartite_table(v, w)))
         product = _random_product_state(rng, dims)
-        cases.append((f"{dims}-product", _measured_table(product, w)))
+        product_table = _measured_table(
+            product, w.final_report.construction, w.final_subsystems, w.steps
+        )
+        cases.append((f"{dims}-product", product_table))
     _, table4 = cases[4]
     _, product4 = cases[5]
     cases.append(("[2, 2, 2, 2]-peeled-first", _permuted(table4, (3, 0, 2, 1))))

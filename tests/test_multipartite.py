@@ -101,7 +101,11 @@ class TestTObservable:
         branches = hw.peel(tripartite_example, 2)
         obs = hw.build_t_observable(branches, 2)
         assert obs.label == "T3"
-        assert obs.outcomes == (1, 2, 0)
+        assert [o for o, _ in obs.outcome_vectors] == [1, 2]
+        # the two branch vectors span the qubit, so the table has no outcome 0
+        w = hw.multipartite_witness(tripartite_example)
+        assert w.table.party_settings[2] == ("T3",)
+        assert w.table.party_outcomes[2] == (1, 2)
 
     def test_marked_probability_is_weight_squared(self, tripartite_example):
         branches = hw.peel(tripartite_example, 2)
@@ -213,6 +217,21 @@ class TestMultipartiteWitness:
         assert w.final_report.zero_tol == 1e-3
         assert all(c.within_tolerance for c in w.final_report.zero_values)
 
+    def test_table_failing_check_raises_at_witness_time(self, monkeypatch, tripartite_example):
+        from hardywitness import multipartite as mp
+
+        walk = mp._chain_probabilities
+
+        def off_by_1e6(*args):
+            probs = walk(*args)
+            # P(X1=+1, X2=+1, T3=1), a zero condition: marked, not raised
+            probs[(0,) * probs.ndim] += 1e-6
+            return probs
+
+        monkeypatch.setattr(mp, "_chain_probabilities", off_by_1e6)
+        with pytest.raises(hw.NumericalFailure, match="normalization"):
+            hw.multipartite_witness(tripartite_example)
+
     def test_peel_order_with_exhaustive_rejected(self, tripartite_example):
         # an invalid order too: it used to be ignored, not validated
         for order in [(2,), (7,)]:
@@ -299,12 +318,42 @@ class TestMultipartiteTable:
             hw.multipartite_table(tripartite_example, w)
 
     def test_rejects_a_witness_of_another_state(self):
-        # the flagged entry of the other state would be 0.1709 against a
-        # combined probability of 0.01306, in a table that passes check()
         w = hw.multipartite_witness(random_state(np.random.default_rng(104), (2, 2, 2)))
         other = random_state(np.random.default_rng(3), (2, 2, 2))
         with pytest.raises(ValueError, match="the witness is for another state"):
             hw.multipartite_table(other, w)
+
+    def test_is_the_witness_own_table(self, tripartite_example, tmp_path):
+        w = hw.multipartite_witness(tripartite_example)
+        assert w.state is tripartite_example
+        assert hw.multipartite_table(tripartite_example, w) is w.table
+        path = tmp_path / "state.json"
+        hw.dump_state(tripartite_example, path)
+        # loading the same file twice gives equal bits
+        w_loaded = hw.multipartite_witness(hw.load_state(path))
+        assert hw.multipartite_table(hw.load_state(path), w_loaded) is w_loaded.table
+
+    def test_rejects_a_renormalized_copy_with_other_bits(self):
+        v = random_state(np.random.default_rng(103), (2, 2, 2))
+        copy = hw.make_state(v.dims, v.amps)
+        assert not np.array_equal(copy.amps, v.amps)
+        with pytest.raises(ValueError, match="the witness is for another state"):
+            hw.multipartite_table(copy, hw.multipartite_witness(v))
+
+    def test_rejects_another_state_with_the_same_flagged_probability(self, tripartite_example):
+        # |221> moved to |211>: the branch on T3 = 2 is still orthogonal to
+        # the first, so the combined probability stays 2/45, yet the state
+        # and its table differ
+        amps = tripartite_example.amps.copy()
+        amps[15], amps[17] = amps[17], 0
+        moved = hw.make_state([3, 3, 2], amps)
+        w = hw.multipartite_witness(tripartite_example)
+        assert w.combined_probability == pytest.approx(2 / 45, abs=1e-12)
+        assert hw.multipartite_witness(moved).combined_probability == pytest.approx(
+            2 / 45, abs=1e-12
+        )
+        with pytest.raises(ValueError, match="the witness is for another state"):
+            hw.multipartite_table(moved, w)
 
 
 # --- the search against a per-order oracle, and its work counts ---
@@ -754,8 +803,8 @@ class TestTableSharedChain:
         self._assert_matches_per_entry(*qubits5)
 
     def test_each_prefix_projected_once(self, monkeypatch, qubits5):
-        table, calls = _walk_calls(monkeypatch, *qubits5)
-        assert table.probs.size == 288
+        w, calls = _walk_calls(monkeypatch, qubits5[0])
+        assert w.table.probs.size == 288
         # the distinct prefixes of the first four parties are 6 + 24 + 32 +
         # 64: a qubit's outcome 0 (the complement of both of its vectors) has
         # probability 0 and ends the chain after the first or second party.
@@ -775,30 +824,37 @@ class TestTableSharedChain:
         self._assert_matches_per_entry(v, hw.multipartite_witness(v, exhaustive=exhaustive))
 
 
-def _walk_calls(monkeypatch, v, w):
-    """The table of ``w`` on ``v`` and the walk's calls to its two primitives.
+def _walk_calls(monkeypatch, v, order=None):
+    """The witness of ``v`` and its table walk's calls to the walk's two primitives.
 
-    Each call of ``project_side1`` or ``complement_side1`` is recorded as
-    ``(on the last party, primitive name, probability)``.  A call is on the
-    last party when its vector is one of that party's marked vectors; every
-    other call carries a residual unless its probability is at the
-    projection floor.
+    Each call of ``project_side1`` or ``complement_side1`` made while the
+    witness is built is recorded as ``(on the last party, primitive name,
+    probability)``.  A call is on the last party when its vector is one of
+    that party's marked vectors; every other call carries a residual unless
+    its probability is at the projection floor.  ``multipartite_table`` then
+    returns the witness's own table and makes no call.
     """
     from hardywitness import multipartite as mp
 
-    last = w.steps[-1].observable.marked_vectors()
-    calls = []
+    raw = []
     for name in ("project_side1", "complement_side1"):
         def counted(m, u, _fn=getattr(mp, name), _name=name):
             result = _fn(m, u)
-            first = u[0] if _name == "complement_side1" else u
-            calls.append((any(np.array_equal(first, x) for x in last), _name, result[0]))
+            raw.append((u[0] if _name == "complement_side1" else u, _name, result[0]))
             return result
 
         monkeypatch.setattr(mp, name, counted)
-    table = hw.multipartite_table(v, w)
+    w = hw.multipartite_witness(v, order)
+    walked = len(raw)
+    assert w.applicable
+    assert hw.multipartite_table(v, w) is w.table
+    assert len(raw) == walked
     monkeypatch.undo()
-    return table, calls
+    last = w.steps[-1].observable.marked_vectors()
+    calls = [
+        (any(np.array_equal(first, x) for x in last), name, prob) for first, name, prob in raw
+    ]
+    return w, calls
 
 
 # --- the table walk against one chain per entry, on drawn chains ---
@@ -868,6 +924,8 @@ def _assert_walk_matches_oracle(v, w, table):
     for c in w.conditions:
         oracle = _chain_probability(v, w, c.condition.settings, c.condition.outcomes)
         _assert_bit_equal(c.value, oracle, c.condition.label)
+        entry = table.prob(c.condition.settings, c.condition.outcomes)
+        _assert_bit_equal(c.value, entry, c.condition.label)
 
 
 class TestTableWalkMatchesOracle:
@@ -881,11 +939,9 @@ class TestTableWalkMatchesOracle:
 
     def _walk_counts(self, monkeypatch, v, order):
         """The table, its witness, and the walk's floor hits and last-party complements."""
-        w = hw.multipartite_witness(v, order)
-        assert w.applicable
-        table, calls = _walk_calls(monkeypatch, v, w)
-        _assert_walk_matches_oracle(v, w, table)
-        return table, {
+        w, calls = _walk_calls(monkeypatch, v, order)
+        _assert_walk_matches_oracle(v, w, w.table)
+        return w.table, {
             "floor": sum(not last and prob <= PROJECTION_FLOOR for last, _, prob in calls),
             "last_complement": sum(
                 last and name == "complement_side1" for last, name, _ in calls

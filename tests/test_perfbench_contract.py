@@ -134,7 +134,14 @@ def test_reference_accepts_the_certificates_it_re_checks():
         (report.table, report.hardy_measured, False),
         (hw.joint_table(bell, construction), 0.0, True),
         (hw.multipartite_table(tri, w), w.combined_probability, False),
-        (_measured_table(hw.basis_state([3, 3, 2], (0, 2, 0)), w), 0.0, True),
+        (
+            _measured_table(
+                hw.basis_state([3, 3, 2], (0, 2, 0)),
+                w.final_report.construction, w.final_subsystems, w.steps,
+            ),
+            0.0,
+            True,
+        ),
     ]
     for table, flagged, feasible in cases:
         cert = lhv.certify(table)
