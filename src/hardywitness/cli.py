@@ -564,7 +564,7 @@ def cmd_simulate(args, v) -> dict:
         "shots": args.shots,
         "seed": args.seed,
         "schedule": [list(p) for p in sampling.SCHEDULE],
-        "sigma": freq.sigma,
+        "sigma": sampling.DEFAULT_SIGMA,
         "export": args.export,
         "conditions": [
             {

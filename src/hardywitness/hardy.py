@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -37,8 +38,9 @@ CLOSED_FORM_TOL = 1e-9
 # maximum ((sqrt(5) - 1) / 2)^5.  The closed form is homogeneous of degree 2,
 # so hardy_probability(p1, p2) <= HARDY_MAX * (p1^2 + p2^2) up to rounding.
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
-# Most grid points one scan may take: the grid costs 48 bytes per point, and
-# the refinement only needs the grid to bracket the maximum.
+# Most grid points one scan may take: the sweep scores the (grid + 1) // 2
+# points of the lower half, about 32 bytes per grid point in all, and the
+# refinement only needs the grid to bracket the maximum.
 GRID_CAP = 10**7
 
 
@@ -57,22 +59,23 @@ def hardy_probability(p1: float, p2: float) -> float:
 def max_hardy_probability_qubit(grid: int = 10**6) -> tuple[float, float]:
     """Grid-plus-refinement maximum of the flagged probability for two qubits.
 
-    Sweeps the squared first weight over a uniform grid in (0, 1), then
-    refines around the best grid point by golden-section search.  Returns
-    ``(best_p1_squared, best_probability)``.  More than ``GRID_CAP`` points
-    raise ``TooLarge`` before anything is allocated.
+    The grid is ``k / (grid + 1)`` for ``k = 1 .. grid`` in the squared
+    first weight t.  ``hardy_probability`` is symmetric in its two weights,
+    so the probability at t equals the one at 1 - t, and the sweep scores
+    only the ``(grid + 1) // 2`` points with t <= 1/2; it then refines
+    around the best of them by golden-section search.  Returns
+    ``(best_p1_squared, best_probability)``, always with the lower of the two
+    mirror maxima, so ``best_p1_squared < 1/2``.  A ``grid`` that is not an
+    integer (numpy integers pass) or below 2 raises ``ValueError``, and more
+    than ``GRID_CAP`` points raise ``TooLarge``, before anything is allocated.
     """
+    grid = _as_integer("grid", grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
     if grid > GRID_CAP:
         raise TooLarge(f"{grid} grid points exceed the cap of {GRID_CAP}")
-    t = np.arange(1, grid + 1, dtype=float) / (grid + 1)
-    p1 = np.sqrt(t)
-    p2 = np.sqrt(1.0 - t)
-    num = t * (1.0 - t) * (p1 - p2) ** 2
-    den = (1.0 - p1 * p2) ** 2
-    values = num / den
-    k = int(np.argmax(values))
+    t = np.arange(1, (grid + 1) // 2 + 1, dtype=float) / (grid + 1)
+    k = int(np.argmax(hardy_probability(np.sqrt(t), np.sqrt(1.0 - t))))
     step = 1.0 / (grid + 1)
     lo = max(t[k] - step, 0.0)
     hi = min(t[k] + step, 1.0)
@@ -96,6 +99,14 @@ def max_hardy_probability_qubit(grid: int = 10**6) -> tuple[float, float]:
             fd = f(d)
     best_t = (a + b) / 2.0
     return best_t, f(best_t)
+
+
+def _as_integer(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_tolerances(**tolerances: float) -> None:
@@ -244,9 +255,14 @@ def build_construction(
     y bases collapse onto the swapped x bases and the flagged probability is
     zero, which is occasionally useful as a control case.  ``eps_deg`` must
     be finite and positive either way, as for ``distinct_weight_pairs``.
+    ``pair`` must be two distinct integers (numpy integers pass) below the
+    rank, or ``ValueError`` is raised.
     """
     _check_tolerances(eps_deg=eps_deg)
-    i, j = pair
+    try:
+        i, j = map(operator.index, pair)
+    except (TypeError, ValueError):
+        raise ValueError(f"pair {pair} invalid for rank {d.rank}") from None
     if not (0 <= i < d.rank and 0 <= j < d.rank) or i == j:
         raise ValueError(f"pair {pair} invalid for rank {d.rank}")
     p1 = float(d.weights[i])

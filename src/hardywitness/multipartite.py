@@ -52,9 +52,9 @@ subsystem and its observables) fills the table: each prefix of (setting,
 outcome) choices is projected once, and the last party, a peeled one with a
 single setting, gets outcome probabilities only, with no residual.  The 288
 entries of a 5-qubit table take 126 residual-carrying projections and 128
-probability-only evaluations instead of 864 projections.  Each residual
-stays the coefficient matrix of the party just projected, and one transposed
-copy makes it the next party's, with no state vector rebuilt in between.
+probability-only evaluations.  Each residual stays the coefficient matrix of
+the party just projected, and one transposed copy makes it the next party's,
+with no state vector rebuilt in between.
 """
 
 from __future__ import annotations
@@ -431,9 +431,9 @@ def multipartite_witness(
     Candidate leaves are scored from their Schmidt weights only; the full
     two-party report (construction, joint table and its checks) is built
     once, for the winning leaf, at the call's ``eps_deg`` and ``zero_tol``,
-    and raises :class:`NumericalFailure` as before if that leaf fails its
-    checks.  A losing leaf never gets a report, so a numerical failure that
-    only its report would have shown no longer aborts the call.
+    and raises :class:`NumericalFailure` if that leaf fails its checks.  A
+    losing leaf never gets a report, so only the winning leaf's checks can
+    raise.
 
     The joint table of the winning order's observables on ``v`` is then
     measured once and stored as ``table``, with ``v`` as ``state``.  The six

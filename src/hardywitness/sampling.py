@@ -38,6 +38,7 @@ from .hardy import (
     ZERO_CONDITIONS,
     HardyCondition,
     JointProbabilityTable,
+    _as_integer,
 )
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -141,13 +142,15 @@ def sample_from_table(table: JointProbabilityTable, shots: int, seed: int) -> Sh
     Only two-party tables can be sampled; a table of any other number of
     parties raises ``ValueError``, and so does a table without one of the
     four setting pairs or with a row holding a non-finite entry or no
-    positive entry.  More than ``SHOT_CAP`` shots raise ``TooLarge``.  All
-    are checked before anything is allocated.
+    positive entry.  ``shots`` and ``seed`` must be integers (numpy integers
+    pass), or ``ValueError`` is raised.  More than ``SHOT_CAP`` shots raise
+    ``TooLarge``.  All are checked before anything is allocated.
     """
     if table.n_parties != 2:
         raise ValueError(
             f"sampling needs a two-party table, got {table.n_parties} parties"
         )
+    shots, seed = _as_integer("shots", shots), _as_integer("seed", seed)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > SHOT_CAP:
@@ -207,7 +210,6 @@ class ConditionStats:
 @dataclass(frozen=True)
 class FrequencyReport:
     shots: int
-    sigma: float
     cells: tuple[CellStats, ...]
     conditions: tuple[ConditionStats, ...]
 
@@ -256,7 +258,7 @@ def analyze(records: ShotRecords, exact_table: JointProbabilityTable) -> Frequen
         else:
             passed = c.count > 0 and abs(c.frequency - c.exact) <= DEFAULT_SIGMA * c.std_error
         verdicts.append(ConditionStats(cond, c.count, c.pair_shots, c.frequency, c.exact, passed))
-    return FrequencyReport(len(records), DEFAULT_SIGMA, tuple(cells.values()), tuple(verdicts))
+    return FrequencyReport(len(records), tuple(cells.values()), tuple(verdicts))
 
 
 def _csv_chunks(records: ShotRecords):

@@ -528,12 +528,14 @@ class TestClosedStdout:
 
 class TestScanCommand:
     def test_machine(self, capsys):
-        assert main(["scan", "--grid", "9999", "--format", "machine"]) == 0
+        assert main(["scan", "--format", "machine"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert doc["grid"] == 10**6
         assert doc["max_probability"] == pytest.approx(0.090170, abs=1e-5)
-        # the sweep is symmetric under t <-> 1-t; either peak is a valid argmax
+        # the probability is symmetric under t <-> 1-t; the default grid, like
+        # every grid, names the lower of the two mirror peaks
         t = doc["argmax_p1_squared"]
-        assert min(abs(t - 0.1773464), abs(t - 0.8226536)) < 1e-3
+        assert t < 0.5 and abs(t - 0.1773516) < 1e-6
         assert len(doc["table"]) == 21
 
     def test_human_endpoints_note(self, capsys):

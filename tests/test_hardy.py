@@ -91,6 +91,33 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             hw.max_hardy_probability_qubit(1)
 
+    @pytest.mark.parametrize("grid", [2.5, 3.0, "10"])
+    def test_grid_must_be_an_integer(self, grid):
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            hw.max_hardy_probability_qubit(grid)
+
+    def test_numpy_integer_grid_passes(self):
+        assert hw.max_hardy_probability_qubit(np.int64(99)) == hw.max_hardy_probability_qubit(99)
+
+    def test_every_grid_names_the_lower_maximum(self):
+        # hardy_probability is symmetric, so the maximum has mirror points at
+        # p1^2 ~ 0.177 and ~ 0.823; only the lower half is swept
+        for grid in [*range(2, 401), 10**4, 10**6]:
+            t, value = hw.max_hardy_probability_qubit(grid)
+            assert t < 0.5 and abs(value - hw.HARDY_MAX) <= 1e-15, grid
+
+    @pytest.mark.parametrize(
+        "grid, t_hex, value_hex",
+        [
+            (99, "0x1.6b3755ab54ea1p-3", "0x1.715609f7c746fp-4"),
+            (10**4, "0x1.6b3755e377084p-3", "0x1.715609f7c746dp-4"),
+        ],
+    )
+    def test_pinned_grids_keep_their_bits(self, grid, t_hex, value_hex):
+        # scan --grid 99 and --grid 10000 are pinned CLI outputs
+        t, value = hw.max_hardy_probability_qubit(grid)
+        assert (float(t).hex(), float(value).hex()) == (t_hex, value_hex)
+
 
 class TestUnitaries:
     def test_swap_forced_at_equal_weights(self):
@@ -368,6 +395,17 @@ class TestWitnessReport:
         bell = hw.make_state([2, 2], [1, 0, 0, 1])
         with pytest.raises(DegeneratePair, match="agree within eps_deg"):
             hw.make_witness_report(bell, SPLIT, pair=(0, 1))
+
+    @pytest.mark.parametrize("pair", [(0.0, 1), (0, 1.5), (0,), (0, 1, 2), 1])
+    def test_non_integer_pair_is_invalid(self, state_08_02, pair):
+        with pytest.raises(ValueError, match=r"pair .* invalid for rank 2"):
+            hw.make_witness_report(state_08_02, SPLIT, pair=pair)
+
+    def test_numpy_integer_pair_passes(self, state_08_02):
+        report = hw.make_witness_report(state_08_02, SPLIT, pair=(np.int64(0), np.int32(1)))
+        assert report.table.probs.tobytes() == hw.make_witness_report(
+            state_08_02, SPLIT, pair=(0, 1)
+        ).table.probs.tobytes()
 
     def test_measured_matches_closed_form_on_suite(self, witness_suite):
         for _, report in witness_suite[:25]:

@@ -200,6 +200,18 @@ class TestSample:
         with pytest.raises(ValueError):
             sample_from_table(report_08_02.table, 0, 1)
 
+    @pytest.mark.parametrize(
+        "shots, seed, name",
+        [(2.5, 1, "shots"), (10.0, 1, "shots"), (10, 2.5, "seed"), (10, "1", "seed")],
+    )
+    def test_counts_must_be_integers(self, report_08_02, shots, seed, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_from_table(report_08_02.table, shots, seed)
+
+    def test_numpy_integer_counts_pass(self, report_08_02):
+        table = report_08_02.table
+        assert sample_from_table(table, np.int64(40), np.uint64(7)) == sample_from_table(table, 40, 7)
+
     def test_names_a_missing_setting_pair(self):
         table = hw.JointProbabilityTable(
             (("X1", "Y1"), ("X2", "Z2")), ((1, -1),) * 2, np.full((2, 2, 2, 2), 0.25)
